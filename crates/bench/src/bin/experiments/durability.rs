@@ -23,8 +23,9 @@ use antlayer_datasets::Table;
 ///    Gate: every reply is served, **none** is recomputed — the rehashed
 ///    requests land on replicas that already hold the entries.
 /// 4. **faultplan** — two edit sessions replay 36 steps against the
-///    3-shard fleet while a seeded [`FaultPlan`] kills, restarts, and
-///    compacts shards between steps. Gates: the same seed encodes the
+///    3-shard fleet while a seeded
+///    [`FaultPlan`](antlayer_bench::faultplan::FaultPlan) kills,
+///    restarts, and compacts shards between steps. Gates: the same seed encodes the
 ///    byte-identical schedule twice, and zero requests are dropped.
 pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     use antlayer_bench::faultplan::{FaultFleet, FaultPlan};

@@ -405,10 +405,11 @@ impl AddOnlyEdits {
         // Dense endgame: scan for the first absent forward pair.
         for a in 0..self.n {
             for b in 0..self.n {
-                if a != b && self.pos[a as usize] < self.pos[b as usize] {
-                    if self.present.insert((a, b)) {
-                        return Some((a, b));
-                    }
+                if a != b
+                    && self.pos[a as usize] < self.pos[b as usize]
+                    && self.present.insert((a, b))
+                {
+                    return Some((a, b));
                 }
             }
         }

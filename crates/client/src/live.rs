@@ -7,8 +7,8 @@
 //! owning session's id. Because updates are *pushed* (not answers to
 //! reads), a caller waiting for one specific session's frame may
 //! receive another session's first; [`LiveConn`] buffers those and
-//! hands them out in arrival order from [`next_event`]
-//! (LiveConn::next_event).
+//! hands them out in arrival order from
+//! [`next_event`](LiveConn::next_event).
 //!
 //! [`Session`] is the client-side mirror of the server's per-session
 //! state: it holds the layer lists, applies the changed-layer diffs

@@ -146,8 +146,8 @@ impl LiveStopper {
 }
 
 /// The live listener's event loop. Construct with [`LiveReactor::new`],
-/// keep a [`stopper`](LiveReactor::stopper), and give [`run`]
-/// (LiveReactor::run) a thread.
+/// keep a [`stopper`](LiveReactor::stopper), and give
+/// [`run`](LiveReactor::run) a thread.
 pub struct LiveReactor {
     listener: TcpListener,
     poller: Poller,

@@ -366,14 +366,11 @@ impl OutboundQueue {
                 true
             }
         });
-        match self.per_session.get_mut(key) {
-            Some(count) => {
-                *count -= removed.min(*count);
-                if *count == 0 {
-                    self.per_session.remove(key);
-                }
+        if let Some(count) = self.per_session.get_mut(key) {
+            *count -= removed.min(*count);
+            if *count == 0 {
+                self.per_session.remove(key);
             }
-            None => {}
         }
         removed
     }
