@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the zero-allocation hot path against the preserved
-//! pre-refactor reference path: one walk (`walk`), the objective
-//! evaluation (`objective`), and raw neighbor scanning through the CSR
-//! view vs the `Vec<Vec>` adjacency (`csr_vs_vecvec`). The end-to-end
-//! ratio is gated by `experiments hotpath` (BENCH_4.json); these groups
-//! exist to localize a regression when that gate trips.
+//! pre-refactor reference path: one walk (`walk`) and the objective
+//! evaluation (`objective`). The end-to-end ratio is gated by
+//! `experiments hotpath` (BENCH_4.json); these groups exist to localize a
+//! regression when that gate trips.
 
 use antlayer_aco::{
     perform_walk, reference, stretch, AcoParams, SearchState, SelectionRule, StretchStrategy,
@@ -79,45 +78,5 @@ fn bench_objective(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_csr_vs_vecvec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("csr_vs_vecvec");
-    for (n, layers) in [(200usize, 50usize), (2000, 500)] {
-        let dag = graph(n, layers);
-        let csr = dag.to_csr();
-        // The walk's memory access pattern: per vertex, scan both
-        // neighbor directions and fold their ids.
-        group.bench_with_input(BenchmarkId::new("csr_scan", n), &csr, |b, csr| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for i in 0..csr.node_count() {
-                    let v = antlayer_graph::NodeId::new(i);
-                    for &w in csr.out_neighbors(v) {
-                        acc += w.index() as u64;
-                    }
-                    for &u in csr.in_neighbors(v) {
-                        acc += u.index() as u64;
-                    }
-                }
-                acc
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("vecvec_scan", n), &dag, |b, dag| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for v in dag.nodes() {
-                    for &w in dag.out_neighbors(v) {
-                        acc += w.index() as u64;
-                    }
-                    for &u in dag.in_neighbors(v) {
-                        acc += u.index() as u64;
-                    }
-                }
-                acc
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_walk, bench_objective, bench_csr_vs_vecvec);
+criterion_group!(benches, bench_walk, bench_objective);
 criterion_main!(benches);

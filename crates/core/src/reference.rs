@@ -3,7 +3,7 @@
 //! This module is a faithful copy of how the colony's inner loop worked
 //! before the zero-allocation refactor: every walk allocates a fresh
 //! visit-order `Vec`, roulette allocates a per-vertex score `Vec`,
-//! neighbor scans chase the `Vec<Vec<NodeId>>` adjacency of the [`Dag`],
+//! neighbor scans go through the [`Dag`] instead of a colony-owned copy,
 //! every ant clones the tour base, and each ant is scored by rebuilding,
 //! normalizing and re-measuring a full `Layering`
 //! ([`SearchState::normalized_objective`]).
@@ -25,7 +25,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// The pre-refactor walk: allocates the visit order (and, under roulette,
-/// a score vector per vertex), scans `Vec<Vec>` adjacency, and scores the
+/// a score vector per vertex), scans the `Dag`'s adjacency, and scores the
 /// ant with the full `O(V + E + H)` objective rebuild.
 pub fn perform_walk(
     dag: &Dag,

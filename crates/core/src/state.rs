@@ -504,7 +504,7 @@ mod tests {
             a.move_vertex(&dag, &wm, v, target);
             b.move_vertex(&csr, &wm, v, target);
         }
-        assert_eq!(a, b, "CSR and Vec<Vec> adjacency must agree exactly");
+        assert_eq!(a, b, "the Dag and its CSR copy must agree exactly");
     }
 
     #[test]

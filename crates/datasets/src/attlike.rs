@@ -15,9 +15,10 @@
 //! * a mixture of shapes: hierarchies with local edges, parented trees with
 //!   extra cross edges, and two-terminal series-parallel graphs.
 
-use antlayer_graph::{generate, Dag, GraphStats};
+use antlayer_graph::{generate, Dag, DiGraph, GraphStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// One size group of the suite.
 #[derive(Clone, Debug)]
@@ -77,7 +78,8 @@ pub fn att_like_graph(n: usize, rng: &mut StdRng) -> Dag {
 fn add_random_forward_edges(dag: Dag, count: usize, rng: &mut StdRng) -> Dag {
     let order = dag.topo_order().to_vec();
     let n = order.len();
-    let mut g = dag.into_graph();
+    let mut edges: Vec<(u32, u32)> = dag.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
+    let mut present: HashSet<(u32, u32)> = edges.iter().copied().collect();
     let mut added = 0usize;
     let mut attempts = 0usize;
     while added < count && attempts < count * 10 + 10 {
@@ -90,10 +92,13 @@ fn add_random_forward_edges(dag: Dag, count: usize, rng: &mut StdRng) -> Dag {
         if i == j {
             continue;
         }
-        if g.add_edge(order[i], order[j]).is_ok() {
+        let pair = (order[i].raw(), order[j].raw());
+        if present.insert(pair) {
+            edges.push(pair);
             added += 1;
         }
     }
+    let g = DiGraph::from_edges(n, &edges).expect("new pairs are fresh forward edges");
     Dag::new(g).expect("forward edges keep the graph acyclic")
 }
 

@@ -1,12 +1,11 @@
 //! Compressed-sparse-row adjacency and the [`Adjacency`] abstraction.
 //!
-//! [`DiGraph`] stores adjacency as `Vec<Vec<NodeId>>` — convenient for
-//! construction, but every neighbor scan chases a second pointer and the
-//! per-node lists are scattered across the heap. [`CsrView`] packs both
-//! directions into four flat arrays (`offsets` + `targets` per direction)
-//! so that the inner loops of the ACO walk read contiguous memory. The
-//! view is immutable: build it once per algorithm run from a finished
-//! graph and thread it through the hot path.
+//! [`CsrView`] packs both directions of a graph's adjacency into two flat
+//! buffers (list bounds and list entries), so a neighbour scan is one
+//! bounds check and a contiguous read, and building or freeing a graph
+//! touches two allocations instead of `2 · |V|` lists. It is the storage of
+//! [`DiGraph`] itself; [`DiGraph::to_csr`] hands out a copy for callers that
+//! own their adjacency (the colony keeps one per run).
 //!
 //! [`Adjacency`] is the minimal neighbor-scan interface shared by
 //! [`DiGraph`], [`Dag`] and [`CsrView`]; algorithms generic over it are
@@ -17,9 +16,9 @@ use crate::{Dag, DiGraph, NodeId};
 /// Read-only neighbor access, implemented by every graph representation.
 ///
 /// The neighbor slices must list the same nodes in the same order for all
-/// implementations describing the same graph (CSR construction preserves
-/// the `DiGraph` list order), so algorithms produce identical results no
-/// matter which representation they are handed.
+/// implementations describing the same graph (every list keeps edge
+/// insertion order), so algorithms produce identical results no matter
+/// which representation they are handed.
 pub trait Adjacency {
     /// Number of nodes (ids are dense, `0..node_count`).
     fn node_count(&self) -> usize;
@@ -77,12 +76,12 @@ impl Adjacency for Dag {
     }
 }
 
-/// Flat compressed-sparse-row snapshot of a [`DiGraph`]'s adjacency, both
-/// directions.
+/// Flat compressed-sparse-row adjacency, both directions.
 ///
-/// Neighbors of node `v` occupy `targets[offsets[v] .. offsets[v + 1]]`;
-/// four dense arrays replace `2 · |V|` heap-allocated lists, so scanning a
-/// neighborhood is one bounds check and a contiguous read.
+/// Two buffers hold the whole graph: `targets` has every out-list, then
+/// every in-list, each in the order the edges were given, and `offsets`
+/// has the `n + 1` bounds of the out-lists, then those of the in-lists.
+/// Node `v`'s successors are `targets[offsets[v] .. offsets[v + 1]]`.
 ///
 /// # Example
 /// ```
@@ -95,67 +94,121 @@ impl Adjacency for Dag {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CsrView {
-    out_offsets: Vec<u32>,
-    out_targets: Vec<NodeId>,
-    in_offsets: Vec<u32>,
-    in_targets: Vec<NodeId>,
+    offsets: Vec<u32>,
+    targets: Vec<NodeId>,
+}
+
+impl Default for CsrView {
+    fn default() -> Self {
+        CsrView {
+            offsets: vec![0, 0],
+            targets: Vec::new(),
+        }
+    }
 }
 
 impl CsrView {
-    /// Builds the view from `graph`, preserving neighbor-list order.
+    /// A copy of `graph`'s adjacency.
     pub fn from_graph(graph: &DiGraph) -> Self {
-        let n = graph.node_count();
-        let m = graph.edge_count();
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut out_targets = Vec::with_capacity(m);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        let mut in_targets = Vec::with_capacity(m);
-        out_offsets.push(0);
-        in_offsets.push(0);
-        for v in graph.nodes() {
-            out_targets.extend_from_slice(graph.out_neighbors(v));
-            out_offsets.push(out_targets.len() as u32);
-            in_targets.extend_from_slice(graph.in_neighbors(v));
-            in_offsets.push(in_targets.len() as u32);
+        graph.to_csr()
+    }
+
+    /// Both directions of `edges` over `n` nodes by one counting sort, each
+    /// list in `edges` order. Fails with the index of the first edge that
+    /// has an end `≥ n` or is a self-loop; repeated pairs are laid out like
+    /// any other (see [`repeats`](Self::repeats)).
+    pub(crate) fn counting_sort(n: usize, edges: &[(NodeId, NodeId)]) -> Result<CsrView, usize> {
+        let mut offsets = vec![0u32; 2 * (n + 1)];
+        let (outs, ins) = offsets.split_at_mut(n + 1);
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            if u.index() >= n || v.index() >= n || u == v {
+                return Err(i);
+            }
+            outs[u.index() + 1] += 1;
+            ins[v.index() + 1] += 1;
         }
-        CsrView {
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
+        // The in-lists follow the out-lists in `targets`.
+        let m = edges.len() as u32;
+        ins[0] = m;
+        for i in 0..n {
+            outs[i + 1] += outs[i];
+            ins[i + 1] += ins[i];
         }
+        // Each list's start doubles as its fill cursor; once every list
+        // is full, entry `u` holds `u + 1`'s start, and one shift restores
+        // the starts.
+        let mut targets = vec![NodeId(0); 2 * edges.len()];
+        for &(u, v) in edges {
+            let slot = &mut outs[u.index()];
+            targets[*slot as usize] = v;
+            *slot += 1;
+            let slot = &mut ins[v.index()];
+            targets[*slot as usize] = u;
+            *slot += 1;
+        }
+        for (bounds, first) in [(outs, 0), (ins, m)] {
+            bounds.copy_within(0..n, 1);
+            bounds[0] = first;
+        }
+        Ok(CsrView { offsets, targets })
+    }
+
+    /// List `i` of `targets`: out-list `i` for `i < n`, in-list `i - n - 1`
+    /// for `i > n`.
+    #[inline]
+    fn list(&self, i: usize) -> &[NodeId] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Given the edge list this view was sorted from, marks every edge
+    /// whose pair occurs earlier in the list; `None` when no pair repeats.
+    /// One pass over the out-lists with a per-source stamp array,
+    /// `O(V + E)`.
+    pub(crate) fn repeats(&self, edges: &[(NodeId, NodeId)]) -> Option<Vec<bool>> {
+        let n = self.node_count();
+        // Slots in order (sources by id, each out-list in order), each
+        // flagged when its target already occurred in its source's list.
+        let mut stamp = vec![u32::MAX; n];
+        let mut slots = (0..n as u32).flat_map(|u| {
+            let targets = self.out_neighbors(NodeId(u));
+            targets.iter().map(move |v| (u, v.index()))
+        });
+        let mut repeat = |(u, v): (u32, usize)| std::mem::replace(&mut stamp[v], u) == u;
+        let first = slots.position(&mut repeat)?;
+        let mut repeated = vec![false; first];
+        repeated.push(true);
+        repeated.extend(slots.map(repeat));
+        // The k-th edge leaving `u` in list order sits in `u`'s k-th slot.
+        let mut next = self.offsets[..n].to_vec();
+        let in_list_order = edges.iter().map(|&(u, _)| {
+            let slot = &mut next[u.index()];
+            *slot += 1;
+            repeated[*slot as usize - 1]
+        });
+        Some(in_list_order.collect())
     }
 
     /// Number of edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.out_targets.len()
+        self.targets.len() / 2
     }
 }
 
 impl Adjacency for CsrView {
     #[inline]
     fn node_count(&self) -> usize {
-        self.out_offsets.len() - 1
+        self.offsets.len() / 2 - 1
     }
 
     #[inline]
     fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let i = v.index();
-        &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
+        self.list(v.index())
     }
 
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let i = v.index();
-        &self.in_targets[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
-    }
-}
-
-impl DiGraph {
-    /// Snapshots the adjacency into a [`CsrView`] for cache-local scans.
-    pub fn to_csr(&self) -> CsrView {
-        CsrView::from_graph(self)
+        self.list(self.node_count() + 1 + v.index())
     }
 }
 
@@ -174,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_vecvec_adjacency_exactly() {
+    fn copy_matches_the_graph_exactly() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
             let dag = generate::random_dag_with_edges(30, 60, &mut rng);
@@ -196,6 +249,35 @@ mod tests {
         let csr = g.to_csr();
         assert!(csr.out_neighbors(NodeId::new(2)).is_empty());
         assert!(csr.in_neighbors(NodeId::new(3)).is_empty());
+    }
+
+    #[test]
+    fn counting_sort_keeps_edge_order_and_flags_repeats() {
+        let n = |i: u32| NodeId(i);
+        let edges = [
+            (n(2), n(0)),
+            (n(0), n(2)),
+            (n(0), n(1)),
+            (n(1), n(0)),
+            (n(0), n(2)),
+        ];
+        let csr = CsrView::counting_sort(3, &edges).unwrap();
+        assert_eq!(csr.out_neighbors(n(0)), &[n(2), n(1), n(2)]);
+        assert_eq!(csr.in_neighbors(n(0)), &[n(2), n(1)]);
+        assert_eq!(csr.in_neighbors(n(2)), &[n(0), n(0)]);
+        assert_eq!(
+            csr.repeats(&edges),
+            Some(vec![false, false, false, false, true])
+        );
+        assert_eq!(
+            CsrView::counting_sort(3, &edges[..4])
+                .unwrap()
+                .repeats(&edges[..4]),
+            None
+        );
+        let bad = [(n(0), n(1)), (n(0), n(3)), (n(1), n(1))];
+        assert_eq!(CsrView::counting_sort(3, &bad).unwrap_err(), 1);
+        assert_eq!(CsrView::counting_sort(3, &bad[2..]).unwrap_err(), 0);
     }
 
     #[test]

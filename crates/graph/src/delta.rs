@@ -17,6 +17,7 @@
 //! is a full re-layout, not an edit.
 
 use crate::{Dag, DiGraph, GraphError, NodeId};
+use std::collections::HashSet;
 use std::fmt;
 
 /// An edge edit: remove `removed`, then add `added`.
@@ -162,12 +163,12 @@ impl GraphDelta {
         // size: deltas run on the serving path against cached base
         // graphs, where a per-edge scan of the removal list would turn
         // one large request into minutes of CPU.
-        let mut removed = std::collections::HashSet::with_capacity(self.removed.len());
+        let mut removed = HashSet::with_capacity(self.removed.len());
         for &(u, v) in &self.removed {
             if u as usize >= n || v as usize >= n {
                 return Err(DeltaError::RemovedOutOfBounds(u, v));
             }
-            if !graph.has_edge(NodeId::new(u as usize), NodeId::new(v as usize)) {
+            if !graph.has_edge(NodeId(u), NodeId(v)) {
                 return Err(DeltaError::MissingEdge(u, v));
             }
             // A doubly-listed removal is a removal of an edge that is
@@ -176,14 +177,21 @@ impl GraphDelta {
                 return Err(DeltaError::MissingEdge(u, v));
             }
         }
-        let mut edited =
-            graph.filter_edges(|u, v| !removed.contains(&(u.index() as u32, v.index() as u32)));
-        for &(u, v) in &self.added {
-            edited
-                .add_edge(NodeId::new(u as usize), NodeId::new(v as usize))
-                .map_err(DeltaError::BadAddition)?;
+        // Only edges leaving a source of a removal need the set lookup.
+        let mut touched = vec![false; if removed.is_empty() { 0 } else { n }];
+        for &(u, _) in &removed {
+            touched[u as usize] = true;
         }
-        Ok(edited)
+        let kept = graph.edges().filter(|&(u, v)| {
+            removed.is_empty() || !touched[u.index()] || !removed.contains(&(u.raw(), v.raw()))
+        });
+        let mut edges = Vec::with_capacity(graph.edge_count() - removed.len() + self.added.len());
+        edges.extend(kept);
+        edges.extend(self.added.iter().map(|&(u, v)| (NodeId(u), NodeId(v))));
+        // The kept edges form a simple graph, so the first edge the build
+        // refuses is the first addition that does not fit the graph as the
+        // removals and the earlier additions left it.
+        DiGraph::from_node_pairs(n, edges).map_err(DeltaError::BadAddition)
     }
 
     /// Applies the delta to a [`Dag`], re-checking acyclicity.
@@ -203,6 +211,89 @@ impl GraphDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::incremental::Incremental;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `apply` as it was written against a growable graph: the kept edges
+    /// copied edge by edge, then one `add_edge` per addition, whose error
+    /// became the delta's. Kept as the oracle for the bulk rebuild.
+    fn apply_incrementally(delta: &GraphDelta, graph: &DiGraph) -> Result<Incremental, DeltaError> {
+        let n = graph.node_count();
+        let mut removed = HashSet::new();
+        for &(u, v) in &delta.removed {
+            if u as usize >= n || v as usize >= n {
+                return Err(DeltaError::RemovedOutOfBounds(u, v));
+            }
+            if !graph.has_edge(NodeId(u), NodeId(v)) || !removed.insert((u, v)) {
+                return Err(DeltaError::MissingEdge(u, v));
+            }
+        }
+        let mut edited = Incremental::new(n);
+        for (u, v) in graph.edges() {
+            if !removed.contains(&(u.raw(), v.raw())) {
+                edited.add_edge(u, v).unwrap();
+            }
+        }
+        for &(u, v) in &delta.added {
+            edited
+                .add_edge(NodeId(u), NodeId(v))
+                .map_err(DeltaError::BadAddition)?;
+        }
+        Ok(edited)
+    }
+
+    #[test]
+    fn bulk_apply_matches_incremental_transcription() {
+        let mut rng = StdRng::seed_from_u64(1404);
+        let (mut applied, mut refused) = (0, 0);
+        for round in 0..3000 {
+            let n = rng.gen_range(1..=10u32);
+            let pairs: Vec<(u32, u32)> = (0..rng.gen_range(0..=2 * n))
+                .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let graph = DiGraph::from_edges_dedup(n as usize, &pairs).unwrap();
+            let existing: Vec<(u32, u32)> =
+                graph.edges().map(|(u, v)| (u.raw(), v.raw())).collect();
+            // Mostly valid edits, with out-of-range ends, self-loops,
+            // repeats and missing removals mixed in.
+            let pick = |rng: &mut StdRng, from_graph: bool| {
+                if from_graph && !existing.is_empty() && rng.gen_bool(0.8) {
+                    existing[rng.gen_range(0..existing.len())]
+                } else {
+                    let end = |rng: &mut StdRng| {
+                        let beyond = u32::from(rng.gen_bool(0.05));
+                        rng.gen_range(0..n + beyond)
+                    };
+                    (end(rng), end(rng))
+                }
+            };
+            let removed = (0..rng.gen_range(0..=3))
+                .map(|_| pick(&mut rng, true))
+                .collect();
+            let added = (0..rng.gen_range(0..=3))
+                .map(|_| pick(&mut rng, false))
+                .collect();
+            let delta = GraphDelta::new(added, removed);
+            let context = format!("round {round}: {graph:?} {delta:?}");
+            match (delta.apply(&graph), apply_incrementally(&delta, &graph)) {
+                (Ok(new), Ok(old)) => {
+                    old.assert_same_as(&new, &context);
+                    applied += 1;
+                }
+                (Err(new), Err(old)) => {
+                    assert_eq!(new, old, "{context}");
+                    refused += 1;
+                }
+                (new, old) => panic!("{context}: {new:?} vs {:?}", old.map(|g| g.edges)),
+            }
+        }
+        assert!(
+            applied >= 500 && refused >= 500,
+            "applied {applied}, refused {refused}"
+        );
+    }
 
     fn diamond() -> DiGraph {
         DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap()

@@ -1,30 +1,33 @@
 //! The core directed-graph container.
 //!
 //! [`DiGraph`] is a simple (no parallel edges, no self-loops) directed graph
-//! stored as forward and reverse adjacency lists. It is the substrate the
-//! paper obtained from LEDA's `GRAPH<int,int>`; everything above it (layering
-//! algorithms, the ant colony, the Sugiyama stages) only needs the operations
-//! provided here.
+//! stored as flat compressed-sparse-row arrays, forward and reverse
+//! ([`CsrView`]), plus its edge list in insertion order. It is the substrate
+//! the paper obtained from LEDA's `GRAPH<int,int>`; everything above it
+//! (layering algorithms, the ant colony, the Sugiyama stages) only needs the
+//! operations provided here.
+//!
+//! A graph is immutable once built. [`DiGraph::from_edges`] validates and
+//! lays out a whole edge list in `O(V + E)`; an edit builds the new edge
+//! list and calls it again. Every neighbour list keeps edge insertion order,
+//! so traversal orders, and everything derived from them, depend only on
+//! the edge list.
 //!
 //! Node payloads are deliberately *not* stored inside the graph: algorithms
 //! keep side tables ([`NodeVec`](crate::NodeVec)) instead, which keeps the hot
 //! adjacency data compact (structure-of-arrays layout).
 
-use crate::{EdgeId, GraphError, NodeId};
+use crate::{Adjacency, CsrView, EdgeId, GraphError, NodeId};
 use std::fmt;
 
 /// A simple directed graph with dense `u32` node ids.
 ///
 /// # Example
 /// ```
-/// use antlayer_graph::DiGraph;
+/// use antlayer_graph::{DiGraph, NodeId};
 ///
-/// let mut g = DiGraph::new();
-/// let a = g.add_node();
-/// let b = g.add_node();
-/// let c = g.add_node();
-/// g.add_edge(a, b).unwrap();
-/// g.add_edge(b, c).unwrap();
+/// let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+/// let (a, b, c) = (NodeId::new(0), NodeId::new(1), NodeId::new(2));
 /// assert_eq!(g.node_count(), 3);
 /// assert_eq!(g.edge_count(), 2);
 /// assert_eq!(g.out_neighbors(a), &[b]);
@@ -32,10 +35,16 @@ use std::fmt;
 /// ```
 #[derive(Clone, Default)]
 pub struct DiGraph {
-    out_adj: Vec<Vec<NodeId>>,
-    in_adj: Vec<Vec<NodeId>>,
+    adj: CsrView,
     /// Edge list in insertion order; `edges[e] = (source, target)`.
     edges: Vec<(NodeId, NodeId)>,
+}
+
+/// What [`DiGraph::build`] does with a pair that occurs more than once.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Repeats {
+    Reject,
+    KeepFirst,
 }
 
 impl DiGraph {
@@ -44,19 +53,93 @@ impl DiGraph {
         DiGraph::default()
     }
 
-    /// Creates an empty graph with capacity reserved for `nodes` nodes.
-    pub fn with_capacity(nodes: usize, edges: usize) -> Self {
-        DiGraph {
-            out_adj: Vec::with_capacity(nodes),
-            in_adj: Vec::with_capacity(nodes),
-            edges: Vec::with_capacity(edges),
+    /// Builds a graph with `n` nodes from raw `(source, target)` index pairs.
+    ///
+    /// Rejects out-of-bounds endpoints, self-loops and repeated pairs in
+    /// `O(V + E)`, reporting the first offending edge in list order.
+    ///
+    /// # Example
+    /// ```
+    /// use antlayer_graph::{DiGraph, GraphError, NodeId};
+    /// let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+    /// assert_eq!(g.edge_count(), 2);
+    /// assert_eq!(
+    ///     DiGraph::from_edges(3, &[(0, 1), (2, 2), (0, 1)]).unwrap_err(),
+    ///     GraphError::SelfLoop(NodeId::new(2))
+    /// );
+    /// ```
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, GraphError> {
+        DiGraph::build(n, node_pairs(edges), Repeats::Reject)
+    }
+
+    /// Like [`from_edges`](Self::from_edges), but a repeated pair is
+    /// dropped instead of rejected: each pair keeps its first occurrence,
+    /// and the edge list and every neighbour list keep the order of the
+    /// kept edges. Out-of-bounds endpoints and self-loops are still errors.
+    ///
+    /// # Example
+    /// ```
+    /// use antlayer_graph::DiGraph;
+    /// let g = DiGraph::from_edges_dedup(3, &[(0, 1), (1, 2), (0, 1)]).unwrap();
+    /// assert_eq!(g.edge_count(), 2);
+    /// assert!(DiGraph::from_edges_dedup(3, &[(0, 1), (1, 1)]).is_err());
+    /// ```
+    pub fn from_edges_dedup(n: usize, edges: &[(u32, u32)]) -> Result<Self, GraphError> {
+        DiGraph::build(n, node_pairs(edges), Repeats::KeepFirst)
+    }
+
+    /// [`from_edges`](Self::from_edges) over an owned list of node pairs.
+    pub(crate) fn from_node_pairs(
+        n: usize,
+        edges: Vec<(NodeId, NodeId)>,
+    ) -> Result<Self, GraphError> {
+        DiGraph::build(n, edges, Repeats::Reject)
+    }
+
+    /// Lays out `edges` over `n` nodes, validating every pair.
+    fn build(
+        n: usize,
+        mut edges: Vec<(NodeId, NodeId)>,
+        repeats: Repeats,
+    ) -> Result<Self, GraphError> {
+        let adj = match CsrView::counting_sort(n, &edges) {
+            Ok(adj) => adj,
+            Err(bad) => {
+                // A repeat before the bad edge is the first error.
+                edges.truncate(bad + 1);
+                let (u, v) = edges.pop().expect("the bad edge");
+                DiGraph::build(n, edges, repeats)?;
+                return Err(match [u, v].into_iter().find(|id| id.index() >= n) {
+                    Some(id) => GraphError::NodeOutOfBounds { id, node_count: n },
+                    None => GraphError::SelfLoop(u),
+                });
+            }
+        };
+        let Some(repeated) = adj.repeats(&edges) else {
+            return Ok(DiGraph { adj, edges });
+        };
+        if repeats == Repeats::Reject {
+            let first = repeated.iter().position(|&r| r).expect("some pair repeats");
+            let (u, v) = edges[first];
+            return Err(GraphError::DuplicateEdge(u, v));
         }
+        let mut repeated = repeated.into_iter();
+        edges.retain(|_| !repeated.next().expect("one flag per edge"));
+        Ok(DiGraph::from_valid_edges(n, edges))
+    }
+
+    /// Lays out `edges`, which the caller guarantees form a simple graph on
+    /// `n` nodes (in bounds, no self-loop, no repeat).
+    pub(crate) fn from_valid_edges(n: usize, edges: Vec<(NodeId, NodeId)>) -> Self {
+        let adj = CsrView::counting_sort(n, &edges).expect("edges are in bounds, no self-loops");
+        debug_assert!(adj.repeats(&edges).is_none(), "edges are simple");
+        DiGraph { adj, edges }
     }
 
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.out_adj.len()
+        self.adj.node_count()
     }
 
     /// Number of edges.
@@ -67,88 +150,40 @@ impl DiGraph {
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.out_adj.is_empty()
-    }
-
-    /// Adds a node and returns its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId::new(self.out_adj.len());
-        self.out_adj.push(Vec::new());
-        self.in_adj.push(Vec::new());
-        id
-    }
-
-    /// Adds `count` nodes, returning their ids in order.
-    pub fn add_nodes(&mut self, count: usize) -> Vec<NodeId> {
-        (0..count).map(|_| self.add_node()).collect()
-    }
-
-    /// Checks that `id` names a node of this graph.
-    #[inline]
-    fn check_node(&self, id: NodeId) -> Result<(), GraphError> {
-        if id.index() < self.node_count() {
-            Ok(())
-        } else {
-            Err(GraphError::NodeOutOfBounds {
-                id,
-                node_count: self.node_count(),
-            })
-        }
-    }
-
-    /// Adds the edge `(u, v)`.
-    ///
-    /// Rejects out-of-bounds endpoints, self-loops and duplicates. Returns
-    /// the id of the new edge.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeId, GraphError> {
-        self.check_node(u)?;
-        self.check_node(v)?;
-        if u == v {
-            return Err(GraphError::SelfLoop(u));
-        }
-        if self.has_edge(u, v) {
-            return Err(GraphError::DuplicateEdge(u, v));
-        }
-        let id = EdgeId::new(self.edges.len());
-        self.out_adj[u.index()].push(v);
-        self.in_adj[v.index()].push(u);
-        self.edges.push((u, v));
-        Ok(id)
+        self.node_count() == 0
     }
 
     /// Membership test for the edge `(u, v)`.
     ///
-    /// Linear in `deg(u)`; adjacency lists of the sparse graphs this library
-    /// targets are short, so a scan beats maintaining sorted lists.
+    /// Linear in `deg(u)`: one contiguous scan of `u`'s out-list.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        match self.out_adj.get(u.index()) {
-            Some(adj) => adj.contains(&v),
-            None => false,
-        }
+        u.index() < self.node_count() && self.out_neighbors(u).contains(&v)
     }
 
-    /// Successors of `v` (targets of edges leaving `v`).
+    /// Successors of `v` (targets of edges leaving `v`), in edge insertion
+    /// order.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.out_adj[v.index()]
+        self.adj.out_neighbors(v)
     }
 
-    /// Predecessors of `v` (sources of edges entering `v`).
+    /// Predecessors of `v` (sources of edges entering `v`), in edge
+    /// insertion order.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.in_adj[v.index()]
+        self.adj.in_neighbors(v)
     }
 
     /// Out-degree of `v`.
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
-        self.out_adj[v.index()].len()
+        self.out_neighbors(v).len()
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_adj[v.index()].len()
+        self.in_neighbors(v).len()
     }
 
     /// Total degree (in + out) of `v`.
@@ -187,32 +222,15 @@ impl DiGraph {
         self.nodes().filter(|&v| self.degree(v) == 0).collect()
     }
 
-    /// Builds a graph with `n` nodes from raw `(source, target)` index pairs.
-    ///
-    /// # Example
-    /// ```
-    /// use antlayer_graph::DiGraph;
-    /// let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-    /// assert_eq!(g.edge_count(), 2);
-    /// ```
-    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Result<Self, GraphError> {
-        let mut g = DiGraph::with_capacity(n, edges.len());
-        g.add_nodes(n);
-        for &(u, v) in edges {
-            g.add_edge(NodeId(u), NodeId(v))?;
-        }
-        Ok(g)
+    /// A copy of the adjacency arrays, for callers that keep their own.
+    pub fn to_csr(&self) -> CsrView {
+        self.adj.clone()
     }
 
     /// The reverse graph: every edge `(u, v)` becomes `(v, u)`.
     pub fn reversed(&self) -> DiGraph {
-        let mut g = DiGraph::with_capacity(self.node_count(), self.edge_count());
-        g.add_nodes(self.node_count());
-        for (u, v) in self.edges() {
-            g.add_edge(v, u)
-                .expect("reversing a simple graph stays simple");
-        }
-        g
+        let edges = self.edges().map(|(u, v)| (v, u)).collect();
+        DiGraph::from_valid_edges(self.node_count(), edges)
     }
 
     /// A copy keeping only the edges for which `keep` returns `true`.
@@ -221,15 +239,8 @@ impl DiGraph {
     /// individual edge removal: edge ids stay dense and algorithms never see
     /// tombstones.
     pub fn filter_edges(&self, mut keep: impl FnMut(NodeId, NodeId) -> bool) -> DiGraph {
-        let mut g = DiGraph::with_capacity(self.node_count(), self.edge_count());
-        g.add_nodes(self.node_count());
-        for (u, v) in self.edges() {
-            if keep(u, v) {
-                g.add_edge(u, v)
-                    .expect("subset of a simple graph stays simple");
-            }
-        }
-        g
+        let edges = self.edges().filter(|&(u, v)| keep(u, v)).collect();
+        DiGraph::from_valid_edges(self.node_count(), edges)
     }
 
     /// The subgraph induced by `nodes`.
@@ -238,19 +249,20 @@ impl DiGraph {
     /// ids (entries for excluded nodes are `None`).
     pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (DiGraph, Vec<Option<NodeId>>) {
         let mut map: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut g = DiGraph::with_capacity(nodes.len(), 0);
-        for &v in nodes {
+        for (i, &v) in nodes.iter().enumerate() {
             assert!(map[v.index()].is_none(), "duplicate node in subgraph list");
-            map[v.index()] = Some(g.add_node());
+            map[v.index()] = Some(NodeId::new(i));
         }
-        for (u, v) in self.edges() {
-            if let (Some(nu), Some(nv)) = (map[u.index()], map[v.index()]) {
-                g.add_edge(nu, nv)
-                    .expect("subset of a simple graph stays simple");
-            }
-        }
-        (g, map)
+        let edges = self
+            .edges()
+            .filter_map(|(u, v)| Some((map[u.index()]?, map[v.index()]?)))
+            .collect();
+        (DiGraph::from_valid_edges(nodes.len(), edges), map)
     }
+}
+
+fn node_pairs(edges: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
+    edges.iter().map(|&(u, v)| (NodeId(u), NodeId(v))).collect()
 }
 
 impl fmt::Debug for DiGraph {
@@ -268,13 +280,173 @@ impl fmt::Debug for DiGraph {
     }
 }
 
+/// Test oracle: the pre-CSR incremental graph.
+#[cfg(test)]
+pub(crate) mod incremental {
+    use super::*;
+
+    /// The graph as it was built before the flat layout: one `add_edge` per
+    /// pair, each checking bounds, self-loops and (by scanning the source's
+    /// list) repeats, appending to per-node lists.
+    ///
+    /// Kept as the oracle for [`DiGraph::build`]: seeded tests check that the
+    /// two agree on lists, edge order and the first error.
+    pub(crate) struct Incremental {
+        pub(crate) out_adj: Vec<Vec<NodeId>>,
+        pub(crate) in_adj: Vec<Vec<NodeId>>,
+        pub(crate) edges: Vec<(NodeId, NodeId)>,
+    }
+
+    impl Incremental {
+        pub(crate) fn new(n: usize) -> Self {
+            Incremental {
+                out_adj: vec![Vec::new(); n],
+                in_adj: vec![Vec::new(); n],
+                edges: Vec::new(),
+            }
+        }
+
+        pub(crate) fn add_edge(&mut self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
+            let node_count = self.out_adj.len();
+            for id in [u, v] {
+                if id.index() >= node_count {
+                    return Err(GraphError::NodeOutOfBounds { id, node_count });
+                }
+            }
+            if u == v {
+                return Err(GraphError::SelfLoop(u));
+            }
+            if self.out_adj[u.index()].contains(&v) {
+                return Err(GraphError::DuplicateEdge(u, v));
+            }
+            self.out_adj[u.index()].push(v);
+            self.in_adj[v.index()].push(u);
+            self.edges.push((u, v));
+            Ok(())
+        }
+
+        /// `from_edges` (`lenient = false`) or the callers that dropped
+        /// `DuplicateEdge` errors (`lenient = true`).
+        pub(crate) fn from_edges(
+            n: usize,
+            edges: &[(u32, u32)],
+            lenient: bool,
+        ) -> Result<Self, GraphError> {
+            let mut g = Incremental::new(n);
+            for &(u, v) in edges {
+                match g.add_edge(NodeId(u), NodeId(v)) {
+                    Err(GraphError::DuplicateEdge(..)) if lenient => {}
+                    other => other?,
+                }
+            }
+            Ok(g)
+        }
+
+        pub(crate) fn assert_same_as(&self, g: &DiGraph, context: &str) {
+            assert_eq!(g.node_count(), self.out_adj.len(), "{context}");
+            assert_eq!(g.edges().collect::<Vec<_>>(), self.edges, "{context}");
+            for v in g.nodes() {
+                assert_eq!(
+                    g.out_neighbors(v),
+                    &self.out_adj[v.index()][..],
+                    "{context}"
+                );
+                assert_eq!(g.in_neighbors(v), &self.in_adj[v.index()][..], "{context}");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::incremental::Incremental;
     use super::*;
+    use crate::topological_sort;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn diamond() -> DiGraph {
         // 0 -> 1 -> 3, 0 -> 2 -> 3
         DiGraph::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap()
+    }
+
+    /// Seeded edge lists over few nodes, so repeats, self-loops and
+    /// out-of-range ends all turn up. Every fourth list leaves most edges
+    /// from node 0, a hub whose long out-list repeats many targets.
+    fn messy_edge_lists(seed: u64, rounds: usize) -> Vec<(usize, Vec<(u32, u32)>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..rounds)
+            .map(|round| {
+                let hub = round % 4 == 3;
+                let n = rng.gen_range(0..=if hub { 60 } else { 12usize });
+                let m = rng.gen_range(0..=3 * n + 2);
+                let edges = (0..m)
+                    .map(|_| {
+                        let end = |rng: &mut StdRng| match rng.gen_range(0..40) {
+                            0 if !hub => n as u32 + rng.gen_range(0..3),
+                            _ => rng.gen_range(0..n.max(1)) as u32,
+                        };
+                        let u = if hub && rng.gen_bool(0.7) {
+                            0
+                        } else {
+                            end(&mut rng)
+                        };
+                        (u, end(&mut rng))
+                    })
+                    .collect();
+                (n, edges)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_build_matches_incremental_transcription() {
+        let (mut built, mut refused) = (0, 0);
+        for (round, (n, edges)) in messy_edge_lists(1402, 4000).into_iter().enumerate() {
+            let context = format!("round {round}: n {n}, edges {edges:?}");
+            match (
+                DiGraph::from_edges(n, &edges),
+                Incremental::from_edges(n, &edges, false),
+            ) {
+                (Ok(g), Ok(old)) => {
+                    old.assert_same_as(&g, &context);
+                    let order = topological_sort(&g).map_err(|_| ());
+                    let old_order =
+                        topological_sort(&DiGraph::from_valid_edges(n, old.edges)).map_err(|_| ());
+                    assert_eq!(order, old_order, "{context}");
+                    built += 1;
+                }
+                (Err(e), Err(old)) => {
+                    assert_eq!(e, old, "{context}");
+                    refused += 1;
+                }
+                (new, old) => panic!("{context}: {new:?} vs {:?}", old.map(|g| g.edges)),
+            }
+        }
+        assert!(
+            built >= 500 && refused >= 500,
+            "built {built}, refused {refused}"
+        );
+    }
+
+    #[test]
+    fn dedup_build_matches_incremental_transcription() {
+        let mut deduped = 0;
+        for (round, (n, edges)) in messy_edge_lists(1403, 4000).into_iter().enumerate() {
+            let context = format!("round {round}: n {n}, edges {edges:?}");
+            match (
+                DiGraph::from_edges_dedup(n, &edges),
+                Incremental::from_edges(n, &edges, true),
+            ) {
+                (Ok(g), Ok(old)) => {
+                    old.assert_same_as(&g, &context);
+                    deduped += usize::from(g.edge_count() < edges.len());
+                }
+                (Err(e), Err(old)) => assert_eq!(e, old, "{context}"),
+                (new, old) => panic!("{context}: {new:?} vs {:?}", old.map(|g| g.edges)),
+            }
+        }
+        assert!(deduped >= 100, "only {deduped} lists had repeats");
     }
 
     #[test]
@@ -288,10 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn add_nodes_assigns_dense_ids() {
-        let mut g = DiGraph::new();
-        let ids = g.add_nodes(3);
-        assert_eq!(ids.iter().map(|i| i.index()).collect::<Vec<_>>(), [0, 1, 2]);
+    fn nodes_are_dense_ids() {
+        let g = DiGraph::from_edges(3, &[]).unwrap();
+        let ids: Vec<usize> = g.nodes().map(NodeId::index).collect();
+        assert_eq!(ids, [0, 1, 2]);
     }
 
     #[test]
@@ -305,35 +477,38 @@ mod tests {
         assert_eq!(g.degree(n(1)), 2);
         assert!(g.has_edge(n(0), n(1)));
         assert!(!g.has_edge(n(1), n(0)));
+        assert!(!g.has_edge(n(9), n(0)));
     }
 
     #[test]
     fn rejects_self_loop() {
-        let mut g = DiGraph::new();
-        let a = g.add_node();
-        assert_eq!(g.add_edge(a, a), Err(GraphError::SelfLoop(a)));
+        let a = NodeId::new(0);
+        assert_eq!(
+            DiGraph::from_edges(1, &[(0, 0)]).unwrap_err(),
+            GraphError::SelfLoop(a)
+        );
     }
 
     #[test]
     fn rejects_duplicate_edge() {
-        let mut g = DiGraph::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        g.add_edge(a, b).unwrap();
-        assert_eq!(g.add_edge(a, b), Err(GraphError::DuplicateEdge(a, b)));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        assert_eq!(
+            DiGraph::from_edges(2, &[(0, 1), (0, 1)]).unwrap_err(),
+            GraphError::DuplicateEdge(a, b)
+        );
         // The reverse direction is a different edge and must be accepted.
-        assert!(g.add_edge(b, a).is_ok());
+        assert!(DiGraph::from_edges(2, &[(0, 1), (1, 0)]).is_ok());
     }
 
     #[test]
     fn rejects_out_of_bounds() {
-        let mut g = DiGraph::new();
-        let a = g.add_node();
-        let ghost = NodeId::new(7);
-        assert!(matches!(
-            g.add_edge(a, ghost),
-            Err(GraphError::NodeOutOfBounds { .. })
-        ));
+        assert_eq!(
+            DiGraph::from_edges(1, &[(0, 7)]).unwrap_err(),
+            GraphError::NodeOutOfBounds {
+                id: NodeId::new(7),
+                node_count: 1
+            }
+        );
     }
 
     #[test]
@@ -344,9 +519,21 @@ mod tests {
     }
 
     #[test]
+    fn reports_the_first_offending_edge() {
+        // A repeat before a self-loop before an out-of-range end.
+        let e = DiGraph::from_edges(3, &[(0, 1), (1, 2), (0, 1), (2, 2), (0, 5)]);
+        assert_eq!(
+            e.unwrap_err(),
+            GraphError::DuplicateEdge(NodeId::new(0), NodeId::new(1))
+        );
+        let e = DiGraph::from_edges_dedup(3, &[(0, 1), (0, 1), (0, 5), (2, 2)]);
+        assert!(matches!(e, Err(GraphError::NodeOutOfBounds { .. })));
+    }
+
+    #[test]
     fn sources_sinks_isolated() {
-        let mut g = diamond();
-        let iso = g.add_node();
+        let g = DiGraph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
+        let iso = NodeId::new(4);
         assert_eq!(g.sources(), vec![NodeId::new(0), iso]);
         assert_eq!(g.sinks(), vec![NodeId::new(3), iso]);
         assert_eq!(g.isolated_nodes(), vec![iso]);

@@ -9,8 +9,8 @@ use std::fmt;
 
 /// Identifier of a node inside one [`DiGraph`](crate::DiGraph).
 ///
-/// Ids are dense indices assigned in insertion order; they are only
-/// meaningful relative to the graph that created them.
+/// Ids are the dense indices `0..n` of a graph with `n` nodes; they are
+/// only meaningful relative to that graph.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 

@@ -269,16 +269,13 @@ pub fn parse_dot(src: &str) -> Result<NamedGraph, GraphError> {
         None => return Err(ParseError::new(0, 0, "expected '{', got EOF").into()),
     }
 
-    let mut graph = DiGraph::new();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
     let mut names: Vec<String> = Vec::new();
     let mut by_name: HashMap<String, NodeId> = HashMap::new();
-    let intern = |graph: &mut DiGraph,
-                  names: &mut Vec<String>,
-                  by_name: &mut HashMap<String, NodeId>,
-                  name: String| {
+    let intern = |names: &mut Vec<String>, by_name: &mut HashMap<String, NodeId>, name: String| {
         *by_name.entry(name.clone()).or_insert_with(|| {
             names.push(name);
-            graph.add_node()
+            NodeId::new(names.len() - 1)
         })
     };
     let skip_attrs = |toks: &[(Tok, usize, usize)], i: &mut usize| -> Result<(), ParseError> {
@@ -331,20 +328,18 @@ pub fn parse_dot(src: &str) -> Result<NamedGraph, GraphError> {
                     expect_ident(&toks, &mut i, "attribute value")?;
                     continue;
                 }
-                let mut prev = intern(&mut graph, &mut names, &mut by_name, name.clone());
+                let mut prev = intern(&mut names, &mut by_name, name.clone());
                 i += 1;
                 skip_attrs(&toks, &mut i)?;
                 while matches!(toks.get(i), Some((Tok::Arrow, _, _))) {
                     i += 1;
                     let next_name = expect_ident(&toks, &mut i, "node after '->'")?;
-                    let next = intern(&mut graph, &mut names, &mut by_name, next_name);
+                    let next = intern(&mut names, &mut by_name, next_name);
                     skip_attrs(&toks, &mut i)?;
-                    // Tolerate repeated edges in the input (DOT multigraphs):
-                    // the substrate stores simple digraphs.
-                    match graph.add_edge(prev, next) {
-                        Ok(_) | Err(GraphError::DuplicateEdge(..)) => {}
-                        Err(e) => return Err(e),
+                    if prev == next {
+                        return Err(GraphError::SelfLoop(prev));
                     }
+                    edges.push((prev.raw(), next.raw()));
                     prev = next;
                 }
             }
@@ -354,6 +349,9 @@ pub fn parse_dot(src: &str) -> Result<NamedGraph, GraphError> {
             None => return Err(ParseError::new(0, 0, "missing closing '}'").into()),
         }
     }
+    // Tolerate repeated edges in the input (DOT multigraphs): the
+    // substrate stores simple digraphs.
+    let graph = DiGraph::from_edges_dedup(names.len(), &edges)?;
     Ok(NamedGraph { graph, names })
 }
 
@@ -463,8 +461,7 @@ mod tests {
 
     #[test]
     fn write_escapes_quotes() {
-        let mut g = DiGraph::new();
-        g.add_node();
+        let g = DiGraph::from_edges(1, &[]).unwrap();
         let dot = write_dot(&g, |_| "we \"quote\"".to_string());
         assert!(dot.contains("\\\""));
         assert!(parse_dot(&dot).is_ok());

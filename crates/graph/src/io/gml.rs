@@ -262,7 +262,7 @@ pub fn parse_gml(src: &str) -> Result<GmlGraph, GraphError> {
         }
     }
 
-    let mut graph = DiGraph::with_capacity(nodes.len(), edges.len());
+    let node_count = nodes.len();
     let mut original_ids = Vec::with_capacity(nodes.len());
     let mut labels = Vec::with_capacity(nodes.len());
     let mut by_gml_id: HashMap<i64, NodeId> = HashMap::new();
@@ -273,11 +273,11 @@ pub fn parse_gml(src: &str) -> Result<GmlGraph, GraphError> {
         if by_gml_id.contains_key(&gml_id) {
             return Err(ParseError::new(0, 0, format!("duplicate node id {gml_id}")).into());
         }
-        let v = graph.add_node();
-        by_gml_id.insert(gml_id, v);
+        by_gml_id.insert(gml_id, NodeId::new(by_gml_id.len()));
         original_ids.push(gml_id);
         labels.push(rec.label);
     }
+    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
     for rec in edges {
         let s = rec
             .source
@@ -290,12 +290,13 @@ pub fn parse_gml(src: &str) -> Result<GmlGraph, GraphError> {
                 ParseError::new(0, 0, format!("edge refers to unknown node {s} or {t}")).into(),
             );
         };
-        match graph.add_edge(u, v) {
-            Ok(_) | Err(GraphError::DuplicateEdge(..)) => {}
-            Err(GraphError::SelfLoop(_)) => {} // tolerated in inputs, dropped
-            Err(e) => return Err(e),
+        // Self-loops are tolerated in inputs and dropped.
+        if u != v {
+            pairs.push((u.raw(), v.raw()));
         }
     }
+    // Repeated edges are tolerated too: each pair keeps its first occurrence.
+    let graph = DiGraph::from_edges_dedup(node_count, &pairs)?;
     Ok(GmlGraph {
         graph,
         original_ids,

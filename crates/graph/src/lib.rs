@@ -6,14 +6,15 @@
 //!
 //! The crate provides:
 //!
-//! * [`DiGraph`] — a compact simple digraph with dense `u32` node ids and
-//!   forward/reverse adjacency (structure-of-arrays: payloads live in
-//!   [`NodeVec`] side tables, not inside the graph).
+//! * [`DiGraph`] — an immutable simple digraph with dense `u32` node ids,
+//!   built in one pass from an edge list, with flat forward/reverse
+//!   adjacency (structure-of-arrays: payloads live in [`NodeVec`] side
+//!   tables, not inside the graph).
 //! * [`Dag`] — a digraph whose acyclicity is proven at construction, carrying
 //!   a cached topological order. All layering algorithms take a `Dag`.
-//! * [`CsrView`] / [`Adjacency`] — a flat compressed-sparse-row snapshot of
-//!   the adjacency (both directions) for cache-local hot loops, and the
-//!   representation-agnostic neighbor-scan trait shared with `DiGraph`/`Dag`.
+//! * [`CsrView`] / [`Adjacency`] — the flat compressed-sparse-row adjacency
+//!   (both directions) a `DiGraph` stores, and the representation-agnostic
+//!   neighbor-scan trait shared with `DiGraph`/`Dag`.
 //! * [`GraphDelta`] — validated edge diffs (add/remove) with inverses, the
 //!   substrate of the serving layer's incremental re-layout.
 //! * Topological algorithms ([`topological_sort`], [`longest_path_to_sink`],

@@ -80,15 +80,13 @@ pub fn condensation(g: &DiGraph) -> (DiGraph, Vec<usize>) {
             comp_of[v.index()] = ci;
         }
     }
-    let mut cg = DiGraph::with_capacity(sccs.len(), g.edge_count());
-    cg.add_nodes(sccs.len());
-    for (u, v) in g.edges() {
-        let (cu, cv) = (comp_of[u.index()], comp_of[v.index()]);
-        if cu != cv {
-            // Duplicate edges between the same pair are silently dropped.
-            let _ = cg.add_edge(NodeId::new(cu), NodeId::new(cv));
-        }
-    }
+    let edges: Vec<(u32, u32)> = g
+        .edges()
+        .map(|(u, v)| (comp_of[u.index()] as u32, comp_of[v.index()] as u32))
+        .filter(|(cu, cv)| cu != cv)
+        .collect();
+    // Duplicate edges between the same pair are silently dropped.
+    let cg = DiGraph::from_edges_dedup(sccs.len(), &edges).expect("component ids are in range");
     (cg, comp_of)
 }
 

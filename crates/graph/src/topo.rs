@@ -239,8 +239,7 @@ mod tests {
 
     #[test]
     fn isolated_nodes_have_zero_lengths() {
-        let mut g = DiGraph::new();
-        g.add_nodes(3);
+        let g = DiGraph::from_edges(3, &[]).unwrap();
         let topo = topological_sort(&g).unwrap();
         assert_eq!(critical_path_length(&g, &topo), 0);
         assert_eq!(longest_path_to_sink(&g, &topo).as_slice(), &[0, 0, 0]);

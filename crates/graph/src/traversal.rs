@@ -207,8 +207,7 @@ mod tests {
 
     #[test]
     fn single_node_component() {
-        let mut g = DiGraph::new();
-        g.add_node();
+        let g = DiGraph::from_edges(1, &[]).unwrap();
         assert!(is_weakly_connected(&g));
         assert_eq!(weak_components(&g).len(), 1);
     }

@@ -12,15 +12,9 @@ use rand::{Rng, SeedableRng};
 fn arb_digraph(max_n: usize) -> impl Strategy<Value = DiGraph> {
     (1..=max_n).prop_flat_map(|n| {
         let pair = (0..n as u32, 0..n as u32);
-        proptest::collection::vec(pair, 0..(3 * n)).prop_map(move |pairs| {
-            let mut g = DiGraph::new();
-            g.add_nodes(n);
-            for (u, v) in pairs {
-                if u != v {
-                    let _ = g.add_edge(NodeId::from(u), NodeId::from(v));
-                }
-            }
-            g
+        proptest::collection::vec(pair, 0..(3 * n)).prop_map(move |mut pairs| {
+            pairs.retain(|(u, v)| u != v);
+            DiGraph::from_edges_dedup(n, &pairs).unwrap()
         })
     })
 }

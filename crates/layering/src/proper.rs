@@ -54,8 +54,7 @@ impl ProperLayering {
     pub fn build(dag: &Dag, layering: &Layering) -> ProperLayering {
         debug_assert!(layering.validate(dag).is_ok());
         let n = dag.node_count();
-        let mut graph = DiGraph::with_capacity(n, dag.edge_count());
-        graph.add_nodes(n);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(dag.edge_count());
         let mut kinds: Vec<NodeKind> = (0..n).map(|i| NodeKind::Real(NodeId::new(i))).collect();
         let mut layers: Vec<u32> = (0..n).map(|i| layering.layer(NodeId::new(i))).collect();
         let mut chains = Vec::with_capacity(dag.edge_count());
@@ -65,24 +64,23 @@ impl ProperLayering {
             chain.push(u);
             let mut prev = u;
             for i in 1..span {
-                let d = graph.add_node();
+                let d = NodeId::new(kinds.len());
                 kinds.push(NodeKind::Dummy {
                     edge: edge_idx,
                     position: i - 1,
                 });
                 layers.push(layering.layer(u) - i);
-                graph
-                    .add_edge(prev, d)
-                    .expect("dummy chain nodes are fresh");
+                edges.push((prev.raw(), d.raw()));
                 chain.push(d);
                 prev = d;
             }
-            graph
-                .add_edge(prev, v)
-                .expect("chain tail is a fresh connection");
+            edges.push((prev.raw(), v.raw()));
             chain.push(v);
             chains.push(chain);
         }
+        // Dummy chain nodes are fresh and a chain tail is a fresh
+        // connection, so the expansion stays simple.
+        let graph = DiGraph::from_edges(kinds.len(), &edges).expect("expansion is simple");
         ProperLayering {
             graph,
             layering: Layering::from_slice(&layers),

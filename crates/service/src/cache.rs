@@ -119,19 +119,21 @@ impl<V: Clone> LruShard<V> {
         Some(self.slots[i].value.clone())
     }
 
-    /// Inserts with a declared byte cost; returns `(evicted, freed)`
-    /// where `freed` is the summed cost of entries this insert displaced
-    /// (the refreshed old value and/or the evicted LRU entry), so the
-    /// caller can keep the byte gauge exact.
-    fn insert(&mut self, key: u128, value: V, cost: u64) -> (bool, u64) {
+    /// Inserts with a declared byte cost; returns `(evicted, freed,
+    /// displaced)` where `freed` is the summed cost of entries this insert
+    /// displaced (the refreshed old value and/or the evicted LRU entry), so
+    /// the caller can keep the byte gauge exact, and `displaced` is the
+    /// value it pushed out, for the caller to drop once the shard is
+    /// unlocked.
+    fn insert(&mut self, key: u128, value: V, cost: u64) -> (bool, u64, Option<V>) {
         if let Some(&i) = self.map.get(&key) {
             // Refresh both value and recency (recompute race: last wins).
             let freed = self.slots[i].cost;
-            self.slots[i].value = value;
+            let old = std::mem::replace(&mut self.slots[i].value, value);
             self.slots[i].cost = cost;
             self.unlink(i);
             self.push_front(i);
-            return (false, freed);
+            return (false, freed, Some(old));
         }
         let mut evicted = false;
         let mut freed = 0;
@@ -144,12 +146,11 @@ impl<V: Clone> LruShard<V> {
             self.free.push(lru);
             evicted = true;
         }
-        let i = match self.free.pop() {
+        let (i, displaced) = match self.free.pop() {
             Some(i) => {
                 self.slots[i].key = key;
-                self.slots[i].value = value;
                 self.slots[i].cost = cost;
-                i
+                (i, Some(std::mem::replace(&mut self.slots[i].value, value)))
             }
             None => {
                 self.slots.push(Slot {
@@ -159,12 +160,12 @@ impl<V: Clone> LruShard<V> {
                     prev: NIL,
                     next: NIL,
                 });
-                self.slots.len() - 1
+                (self.slots.len() - 1, None)
             }
         };
         self.push_front(i);
         self.map.insert(key, i);
-        (evicted, freed)
+        (evicted, freed, displaced)
     }
 
     fn len(&self) -> usize {
@@ -261,11 +262,16 @@ impl<V: Clone> ShardedCache<V> {
     /// Stores a value with a declared byte cost; the cache maintains
     /// the exact sum of live entries' costs in [`bytes`](Self::bytes)
     /// (costs of refreshed and evicted entries leave the gauge).
+    ///
+    /// A value this insert displaces is dropped after the shard's lock is
+    /// released: freeing a large result can take milliseconds, and lookups
+    /// on the shard must not wait for it.
     pub fn insert_costed(&self, digest: Digest, value: V, bytes: u64) {
-        let (evicted, freed) = self
-            .shard(digest)
-            .lock()
-            .insert(digest.as_u128(), value, bytes);
+        let (evicted, freed, displaced) =
+            self.shard(digest)
+                .lock()
+                .insert(digest.as_u128(), value, bytes);
+        drop(displaced);
         self.stats.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted {
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
@@ -420,6 +426,61 @@ mod tests {
         c.insert(d(4), 4);
         assert_eq!(c.get(d(2)), None);
         assert_eq!(c.get(d(3)), Some(3));
+    }
+
+    /// A value whose drop probes the cache from another thread and
+    /// reports whether the probe finished within the timeout.
+    struct ProbeOnDrop {
+        probe: Option<Box<dyn FnOnce() + Send + Sync>>,
+    }
+
+    impl Drop for ProbeOnDrop {
+        fn drop(&mut self) {
+            if let Some(probe) = self.probe.take() {
+                probe();
+            }
+        }
+    }
+
+    #[test]
+    fn displaced_values_drop_outside_the_shard_lock() {
+        use std::sync::{mpsc, Arc};
+        use std::time::Duration;
+        type Cache = ShardedCache<Arc<ProbeOnDrop>>;
+        let cache: Arc<Cache> = Arc::new(ShardedCache::new(1, 1));
+        let (done_tx, done_rx) = mpsc::channel::<bool>();
+        let probing = |cache: &Arc<Cache>, done: mpsc::Sender<bool>| {
+            let cache = Arc::downgrade(cache);
+            Arc::new(ProbeOnDrop {
+                probe: Some(Box::new(move || {
+                    let (tx, rx) = mpsc::channel();
+                    std::thread::spawn(move || {
+                        if let Some(cache) = cache.upgrade() {
+                            drop(cache.get(d(99)));
+                        }
+                        let _ = tx.send(());
+                    });
+                    let unblocked = rx.recv_timeout(Duration::from_secs(5)).is_ok();
+                    let _ = done.send(unblocked);
+                })),
+            })
+        };
+        let quiet = || Arc::new(ProbeOnDrop { probe: None });
+
+        // Eviction: inserting key 2 pushes key 1 out of the one slot.
+        cache.insert(d(1), probing(&cache, done_tx.clone()));
+        cache.insert(d(2), quiet());
+        // Refresh: re-inserting key 2 replaces its value.
+        cache.insert(d(2), probing(&cache, done_tx));
+        cache.insert(d(2), quiet());
+        for what in ["evicted", "refreshed"] {
+            let unblocked = done_rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(
+                unblocked,
+                Ok(true),
+                "{what} value dropped under the shard lock"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   deadline-truncated runs instead.
 
 use antlayer_aco::{AcoParams, DepositStrategy, SelectionRule, StretchStrategy, VisitOrder};
-use antlayer_graph::DiGraph;
+use antlayer_graph::{DiGraph, NodeId};
 use antlayer_layering::WidthModel;
 use std::fmt;
 
@@ -217,14 +217,16 @@ fn write_graph(h: &mut CanonicalHasher, graph: &DiGraph) {
     h.write_u64(graph.node_count() as u64);
     h.write_u64(graph.edge_count() as u64);
     // Node ids are dense indices, so the sorted edge list is canonical for
-    // a given numbering regardless of insertion order.
-    let mut edges: Vec<(u32, u32)> = graph
-        .edges()
-        .map(|(u, v)| (u.index() as u32, v.index() as u32))
-        .collect();
-    edges.sort_unstable();
-    for (u, v) in edges {
-        h.write_u64(((u as u64) << 32) | v as u64);
+    // a given numbering regardless of insertion order. Walking the sources
+    // in id order and sorting each out-list yields exactly that list.
+    let mut targets: Vec<NodeId> = Vec::new();
+    for u in graph.nodes() {
+        targets.clear();
+        targets.extend_from_slice(graph.out_neighbors(u));
+        targets.sort_unstable();
+        for v in &targets {
+            h.write_u64(((u.raw() as u64) << 32) | v.raw() as u64);
+        }
     }
 }
 
@@ -381,6 +383,38 @@ mod tests {
         let a = request_digest(&g(3, &[(0, 1)]), "lpl", None, &wm);
         let b = request_digest(&g(4, &[(0, 1)]), "lpl", None, &wm);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn digests_are_pinned() {
+        // Segment logs, replicas and `layout_delta` bases are keyed by
+        // these digests, so the canonical encoding must not drift.
+        let graph = g(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
+        let unit = WidthModel::unit();
+        let hex = |d: Digest| d.to_string();
+        assert_eq!(
+            hex(request_digest(&graph, "lpl", None, &unit)),
+            "442df84059874c4c1146e20793587430"
+        );
+        let params = AcoParams::default().with_seed(7).with_alpha_beta(2.0, 1.0);
+        assert_eq!(
+            hex(request_digest(&graph, "aco", Some(&params), &unit)),
+            "9c898d3dee5628c79ecb9bb7be16eb9e"
+        );
+        let half = WidthModel::with_dummy_width(0.5);
+        assert_eq!(
+            hex(request_digest(&graph, "lpl", None, &half)),
+            "099ece4744b2aab11c7174a83b52f017"
+        );
+        let edges = [(3, 1), (0, 2), (2, 1), (0, 3), (4, 0), (1, 5), (4, 2)];
+        let mut backwards = edges;
+        backwards.reverse();
+        for order in [&edges, &backwards] {
+            assert_eq!(
+                hex(request_digest(&g(6, order), "lpl", None, &unit)),
+                "28c8571f39e4c5b1ae68339ec1713016"
+            );
+        }
     }
 
     #[test]

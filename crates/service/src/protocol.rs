@@ -389,13 +389,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run up to the next quote or
+                    // backslash. Both are ASCII and the input is a &str,
+                    // so the run's ends are char boundaries.
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    let text =
+                        std::str::from_utf8(&run[..len]).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(text);
+                    self.pos += len;
                 }
             }
         }
@@ -2314,6 +2319,26 @@ mod tests {
     }
 
     #[test]
+    fn multi_megabyte_strings_decode_whole() {
+        // A 4 MiB correlation id of multi-byte text with escapes between
+        // the runs. Decoding used to re-validate the rest of the line for
+        // every character, which at this size took minutes.
+        let mut id = String::new();
+        while id.len() < 4 << 20 {
+            id.push_str("layer ⊕ wörld \" quoted \\ slash / tab\t ");
+        }
+        let line = format!(
+            r#"{{"v":2,"op":"ping","id":{}}}"#,
+            Json::Str(id.clone()).encode()
+        );
+        assert!(line.len() > 4 << 20);
+        let (request, env) = parse_request_envelope(&line).unwrap();
+        assert!(matches!(request, Request::Ping));
+        assert_eq!(env.id.as_ref().and_then(Json::as_str), Some(id.as_str()));
+        assert_eq!(parse(&line).unwrap().get("id"), Some(&Json::Str(id)));
+    }
+
+    #[test]
     fn layout_request_decoding() {
         let line = r#"{"op":"layout","algo":"aco","nodes":4,"edges":[[0,1],[1,2],[2,3]],
                        "seed":9,"ants":3,"tours":2,"deadline_ms":100,"nd_width":0.5}"#;
@@ -2494,13 +2519,18 @@ mod tests {
     fn cache_put_validation_errors() {
         let hex = "0123456789abcdef0123456789abcdef";
         for (line, needle) in [
-            (r#"{"op":"cache_put","nodes":2,"layers":[[0]]}"#.to_string(), "missing 'digest'"),
+            (
+                r#"{"op":"cache_put","nodes":2,"layers":[[0]]}"#.to_string(),
+                "missing 'digest'",
+            ),
             (
                 format!(r#"{{"op":"cache_put","digest":"{hex}","nodes":2,"layers":[[5]]}}"#),
                 "bad layer node id",
             ),
             (
-                format!(r#"{{"op":"cache_put","digest":"{hex}","nodes":2,"edges":[[0,9]],"layers":[[0],[1]]}}"#),
+                format!(
+                    r#"{{"op":"cache_put","digest":"{hex}","nodes":2,"edges":[[0,9]],"layers":[[0],[1]]}}"#
+                ),
                 "out of range",
             ),
             (
@@ -2527,8 +2557,7 @@ mod tests {
         assert_eq!(cursor, Some(Digest { hi: 3, lo: 9 }));
         assert_eq!(limit, 32);
         // Absent cursor/limit take the documented defaults.
-        let Request::CachePull { cursor, limit } =
-            parse_request(r#"{"op":"cache_pull"}"#).unwrap()
+        let Request::CachePull { cursor, limit } = parse_request(r#"{"op":"cache_pull"}"#).unwrap()
         else {
             panic!("expected cache_pull");
         };

@@ -6,8 +6,8 @@
 //! feedback set of at most `m/2 − n/6` edges. Its vertex sequence costs
 //! `O(V + E)` on acyclic input, which sink peeling alone consumes, and
 //! `O((V + E) log V)` in general, where the max-δ steps draw from a heap.
-//! Writing out the oriented DAG then costs one [`DiGraph::add_edge`] per
-//! edge, whose duplicate check is linear in the source's out-degree.
+//! Writing out the oriented DAG is one bulk [`DiGraph::from_edges_dedup`]
+//! in `O(V + E)`; when nothing is reversed, the DAG is a copy of the input.
 //!
 //! The orientation is pinned, tie-break included: among the vertices with
 //! the largest `δ = outdeg − indeg`, the δ step takes the highest index.
@@ -38,26 +38,38 @@ pub fn acyclic_orientation(g: &DiGraph) -> AcyclicOrientation {
 }
 
 /// Keeps the edges of `g` that point forward in `order` and reverses the
-/// rest.
+/// rest. Both halves of a 2-cycle orient to the same pair; the one listed
+/// first in `g` is kept, and a reversal is reported only if it was kept.
 fn orient_along(g: &DiGraph, order: &[NodeId]) -> AcyclicOrientation {
-    let mut pos = vec![0usize; g.node_count()];
+    let mut pos = vec![0u32; g.node_count()];
     for (i, v) in order.iter().enumerate() {
-        pos[v.index()] = i;
+        pos[v.index()] = i as u32;
     }
-    let mut out = DiGraph::with_capacity(g.node_count(), g.edge_count());
-    out.add_nodes(g.node_count());
-    let mut reversed = Vec::new();
-    for (u, v) in g.edges() {
-        if pos[u.index()] < pos[v.index()] {
-            let _ = out.add_edge(u, v);
-        } else {
-            // Backward edge: reverse it (skip silently if the reverse
-            // already exists — the orientation stays acyclic).
-            if out.add_edge(v, u).is_ok() {
-                reversed.push((u, v));
-            }
-        }
+    let forward = |u: NodeId, v: NodeId| pos[u.index()] < pos[v.index()];
+    if g.edges().all(|(u, v)| forward(u, v)) {
+        return AcyclicOrientation {
+            dag: Dag::new(g.clone()).expect("all edges point forward in the sequence"),
+            reversed: Vec::new(),
+        };
     }
+    let oriented: Vec<(u32, u32)> = g
+        .edges()
+        .map(|(u, v)| if forward(u, v) { (u, v) } else { (v, u) })
+        .map(|(u, v)| (u.raw(), v.raw()))
+        .collect();
+    let out = DiGraph::from_edges_dedup(g.node_count(), &oriented).expect("ends are g's nodes");
+    // The DAG's edge list is `oriented` minus its repeats, in order, and
+    // kept pairs are distinct: an oriented edge was kept iff it is the next
+    // DAG edge not yet matched.
+    let reversed = {
+        let mut kept = out.edges().peekable();
+        g.edges()
+            .zip(&oriented)
+            .filter(|&(_, &(a, b))| kept.next_if_eq(&(a.into(), b.into())).is_some())
+            .map(|(edge, _)| edge)
+            .filter(|&(u, v)| !forward(u, v))
+            .collect()
+    };
     AcyclicOrientation {
         dag: Dag::new(out).expect("all edges point forward in the sequence"),
         reversed,
@@ -277,6 +289,92 @@ mod tests {
         front
     }
 
+    /// `orient_along` as it was written against a growable graph: one
+    /// `add_edge` per input edge, forward or reversed, whose duplicate
+    /// check dropped the second half of a 2-cycle; a reversal counted only
+    /// when its `add_edge` succeeded. Returns the DAG's edge list, its
+    /// in-lists and the reversed edges.
+    ///
+    /// Kept as the oracle for the bulk [`orient_along`].
+    #[allow(clippy::type_complexity)]
+    fn orient_along_incrementally(
+        g: &DiGraph,
+        order: &[NodeId],
+    ) -> (
+        Vec<(NodeId, NodeId)>,
+        Vec<Vec<NodeId>>,
+        Vec<(NodeId, NodeId)>,
+    ) {
+        let mut pos = vec![0usize; g.node_count()];
+        for (i, v) in order.iter().enumerate() {
+            pos[v.index()] = i;
+        }
+        let mut out_adj: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
+        let mut in_adj: Vec<Vec<NodeId>> = vec![Vec::new(); g.node_count()];
+        let mut edges = Vec::new();
+        let mut add_edge = |u: NodeId, v: NodeId| {
+            if out_adj[u.index()].contains(&v) {
+                return false;
+            }
+            out_adj[u.index()].push(v);
+            in_adj[v.index()].push(u);
+            edges.push((u, v));
+            true
+        };
+        let mut reversed = Vec::new();
+        for (u, v) in g.edges() {
+            if pos[u.index()] < pos[v.index()] {
+                add_edge(u, v);
+            } else if add_edge(v, u) {
+                reversed.push((u, v));
+            }
+        }
+        (edges, in_adj, reversed)
+    }
+
+    #[test]
+    fn bulk_orientation_matches_incremental_transcription() {
+        let mut rng = StdRng::seed_from_u64(1406);
+        let (mut dropped, mut reversing) = (0, 0);
+        for round in 0..2000 {
+            let n = rng.gen_range(1..=30usize);
+            // Dense in 2-cycles: most drawn pairs go in both directions,
+            // in either order.
+            let mut edges = Vec::new();
+            for _ in 0..rng.gen_range(0..=2 * n) {
+                let (u, v) = (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32);
+                if u == v {
+                    continue;
+                }
+                edges.push((u, v));
+                if rng.gen_bool(0.7) {
+                    let at = rng.gen_range(0..=edges.len());
+                    edges.insert(at, (v, u));
+                }
+            }
+            let g = DiGraph::from_edges_dedup(n, &edges).unwrap();
+            // The greedy sequence, and a random order that reverses more.
+            let mut shuffled: Vec<NodeId> = g.nodes().collect();
+            shuffled.shuffle(&mut rng);
+            for order in [greedy_sequence(&g), shuffled] {
+                let new = orient_along(&g, &order);
+                let (old_edges, old_in, old_reversed) = orient_along_incrementally(&g, &order);
+                let context = format!("round {round}: {g:?} order {order:?}");
+                assert_eq!(new.dag.edges().collect::<Vec<_>>(), old_edges, "{context}");
+                for v in g.nodes() {
+                    assert_eq!(new.dag.in_neighbors(v), &old_in[v.index()][..], "{context}");
+                }
+                assert_eq!(new.reversed, old_reversed, "{context}");
+                dropped += usize::from(new.dag.edge_count() < g.edge_count());
+                reversing += usize::from(!new.reversed.is_empty());
+            }
+        }
+        assert!(
+            dropped >= 500 && reversing >= 1000,
+            "dropped {dropped}, reversing {reversing}"
+        );
+    }
+
     #[test]
     fn dag_input_reverses_nothing() {
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (0, 3), (3, 2)]).unwrap();
@@ -308,15 +406,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         for _ in 0..20 {
             let n = rng.gen_range(5..40);
-            let mut g = DiGraph::new();
-            g.add_nodes(n);
+            let mut edges = Vec::new();
             for _ in 0..(3 * n) {
                 let u = rng.gen_range(0..n) as u32;
                 let v = rng.gen_range(0..n) as u32;
                 if u != v {
-                    let _ = g.add_edge(NodeId::from(u), NodeId::from(v));
+                    edges.push((u, v));
                 }
             }
+            let g = DiGraph::from_edges_dedup(n, &edges).unwrap();
             let m = g.edge_count() as f64;
             let o = acyclic_orientation(&g);
             assert!(is_acyclic(&o.dag));
@@ -342,15 +440,17 @@ mod tests {
             // sinks and sources sit at arbitrary indices.
             let mut rank: Vec<u32> = (0..n as u32).collect();
             rank.shuffle(&mut rng);
-            let mut g = DiGraph::new();
-            g.add_nodes(n);
+            let mut edges = Vec::new();
             for _ in 0..rng.gen_range(0..=3 * n) {
                 let (mut u, mut v) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 if round % 2 == 0 && u > v {
                     std::mem::swap(&mut u, &mut v);
                 }
-                let _ = g.add_edge(NodeId::from(rank[u]), NodeId::from(rank[v]));
+                if u != v {
+                    edges.push((rank[u], rank[v]));
+                }
             }
+            let g = DiGraph::from_edges_dedup(n, &edges).unwrap();
             if is_acyclic(&g) {
                 acyclic += 1;
             } else {
