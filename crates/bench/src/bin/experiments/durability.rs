@@ -29,7 +29,9 @@ use antlayer_datasets::Table;
 ///    byte-identical schedule twice, and zero requests are dropped.
 pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     use antlayer_bench::faultplan::{FaultFleet, FaultPlan};
-    use antlayer_bench::loadclient::{base_graph, layout_line, EditSession, RequestProfile, Tallies};
+    use antlayer_bench::loadclient::{
+        base_graph, layout_line, EditSession, RequestProfile, Tallies,
+    };
     use antlayer_client::{Client, Connection, Transport};
     use antlayer_graph::DiGraph;
     use antlayer_router::{Router, RouterConfig};
@@ -66,11 +68,8 @@ pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     // ---- Phase 1: kill/restart survives on the segment log ----------
     let mut fleet = FaultFleet::boot(1, 2);
     {
-        let mut client = Client::connect_with(
-            fleet.addr(0),
-            profile.client_config(Transport::Tcp),
-        )
-        .expect("connect warmer");
+        let mut client = Client::connect_with(fleet.addr(0), profile.client_config(Transport::Tcp))
+            .expect("connect warmer");
         for (i, (seed, graph)) in graphs.iter().enumerate() {
             client
                 .layout(graph, &profile.options(*seed))
@@ -84,10 +83,7 @@ pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     }
     fleet.kill(0);
     fleet.restart(0);
-    let restored = fleet
-        .scheduler(0)
-        .map(|s| s.restored())
-        .unwrap_or(0);
+    let restored = fleet.scheduler(0).map(|s| s.restored()).unwrap_or(0);
     let (mut from_disk, mut recomputed) = (0u64, 0u64);
     {
         let mut conn = connect(fleet.addr(0));
@@ -138,8 +134,7 @@ pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     };
     router.shutdown();
     fleet.shutdown();
-    let parity_ok =
-        parity_good == DISTINCT * PASSES && (hit_rate - baseline).abs() <= 0.02;
+    let parity_ok = parity_good == DISTINCT * PASSES && (hit_rate - baseline).abs() <= 0.02;
     check(
         "replicated fleet hit rate within 0.02 of BENCH_3's router_2 topology",
         parity_ok,

@@ -231,9 +231,8 @@ impl Poller {
         };
         let mut buf = [EpollEvent { events: 0, data: 0 }; 256];
         let n = loop {
-            let rc = unsafe {
-                epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
-            };
+            let rc =
+                unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
             if rc >= 0 {
                 break rc as usize;
             }
@@ -314,7 +313,9 @@ mod tests {
         let poller = Poller::new().unwrap();
         let (mut a, b) = UnixStream::pair().unwrap();
         b.set_nonblocking(true).unwrap();
-        poller.register(b.as_raw_fd(), 7, Interest::READABLE).unwrap();
+        poller
+            .register(b.as_raw_fd(), 7, Interest::READABLE)
+            .unwrap();
 
         // Nothing written yet: a zero-timeout wait reports nothing.
         let mut events = Vec::new();
@@ -322,12 +323,16 @@ mod tests {
         assert!(events.iter().all(|e| e.token != 7 || !e.readable));
 
         a.write_all(b"x").unwrap();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         let ev = events.iter().find(|e| e.token == 7).expect("event for b");
         assert!(ev.readable);
 
         // Level-triggered: not draining the byte re-reports readiness.
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
 
         // Draining clears it.
@@ -342,10 +347,14 @@ mod tests {
     fn hangup_is_reported_when_the_peer_closes() {
         let poller = Poller::new().unwrap();
         let (a, b) = UnixStream::pair().unwrap();
-        poller.register(b.as_raw_fd(), 3, Interest::READABLE).unwrap();
+        poller
+            .register(b.as_raw_fd(), 3, Interest::READABLE)
+            .unwrap();
         drop(a);
         let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         let ev = events.iter().find(|e| e.token == 3).expect("event for b");
         assert!(ev.hangup);
     }
@@ -354,14 +363,18 @@ mod tests {
     fn modify_switches_interest_to_writable() {
         let poller = Poller::new().unwrap();
         let (_a, b) = UnixStream::pair().unwrap();
-        poller.register(b.as_raw_fd(), 1, Interest::READABLE).unwrap();
+        poller
+            .register(b.as_raw_fd(), 1, Interest::READABLE)
+            .unwrap();
         // An idle socket with read interest: no events.
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
         assert!(events.is_empty());
         // Switch to write interest: an empty send buffer is writable now.
         poller.modify(b.as_raw_fd(), 2, Interest::WRITABLE).unwrap();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         let ev = events.iter().find(|e| e.token == 2).expect("event for b");
         assert!(ev.writable);
         poller.deregister(b.as_raw_fd()).unwrap();
@@ -380,7 +393,9 @@ mod tests {
         waker.wake();
         waker.wake();
         let mut events = Vec::new();
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token == 99 && e.readable));
         waker.drain();
         poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
@@ -393,7 +408,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             w.wake();
         });
-        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
         assert!(events.iter().any(|e| e.token == 99));
         t.join().unwrap();
     }

@@ -1230,12 +1230,13 @@ fn parse_shard_addr(v: &Json, op: &str) -> Result<String, WireError> {
 /// a bounded page `limit`.
 fn parse_cache_pull(v: &Json) -> Result<(Option<Digest>, u64), WireError> {
     let invalid = |m: String| WireError::new(ErrorKind::InvalidRequest, m);
-    let cursor = match v.get("cursor") {
-        None => None,
-        Some(j) => Some(j.as_str().and_then(Digest::from_hex).ok_or_else(|| {
-            invalid("cache_pull: 'cursor' must be a 32-hex-digit digest".into())
-        })?),
-    };
+    let cursor =
+        match v.get("cursor") {
+            None => None,
+            Some(j) => Some(j.as_str().and_then(Digest::from_hex).ok_or_else(|| {
+                invalid("cache_pull: 'cursor' must be a 32-hex-digit digest".into())
+            })?),
+        };
     // The cap bounds one page's response size the way MAX_DELTA_EDITS
     // bounds one delta's work: a transfer never buys unbounded encoding
     // on the connection thread.

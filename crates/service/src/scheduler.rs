@@ -637,10 +637,9 @@ impl Scheduler {
                                 cache.insert_costed(entry.digest, Arc::new(result), bytes);
                                 cache_restored.inc();
                             }
-                            Err(e) => eprintln!(
-                                "warning: skipping cache record {}: {e}",
-                                entry.digest
-                            ),
+                            Err(e) => {
+                                eprintln!("warning: skipping cache record {}: {e}", entry.digest)
+                            }
                         }
                     }
                     if let Some(budget) = cfg.cache_byte_budget {
@@ -972,11 +971,11 @@ impl Scheduler {
         if self.cache.peek(entry.digest).is_some() {
             return Ok(false);
         }
-        let result = Arc::new(
-            crate::persist::restore_result(entry).map_err(ServiceError::InvalidRequest)?,
-        );
+        let result =
+            Arc::new(crate::persist::restore_result(entry).map_err(ServiceError::InvalidRequest)?);
         let bytes = result.approx_bytes();
-        self.cache.insert_costed(entry.digest, result.clone(), bytes);
+        self.cache
+            .insert_costed(entry.digest, result.clone(), bytes);
         self.cache_restored.inc();
         if let Some(budget) = self.cfg.cache_byte_budget {
             warn_if_over_budget(self.cache.bytes(), budget, &self.bytes_warned);
@@ -1889,10 +1888,7 @@ mod tests {
         // replication `cache_put` install. All must land on the same
         // `approx_bytes` charge, so `cache_bytes` (and the byte budget)
         // stay honest across restarts and replication.
-        let dir = std::env::temp_dir().join(format!(
-            "antlayer-sched-bytes-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("antlayer-sched-bytes-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let persistent = SchedulerConfig {
             threads: 2,

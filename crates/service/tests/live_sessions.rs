@@ -101,7 +101,10 @@ fn frames_assemble_across_split_writes_and_split_reads() {
             assert_eq!(version, 0);
             assert_eq!(reply.height, 6);
         }
-        other => panic!("expected SessionOpened, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionOpened, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // A delta one byte at a time — the worst-case partial frame.
@@ -115,7 +118,10 @@ fn frames_assemble_across_split_writes_and_split_reads() {
             assert_eq!(update.version, 1);
             assert_eq!(update.height, 7, "chain grew by one layer");
         }
-        other => panic!("expected SessionUpdate, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionUpdate, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // The opposite shape: two frames land in one write; both must be
@@ -129,18 +135,27 @@ fn frames_assemble_across_split_writes_and_split_reads() {
     stream.write_all(combined.as_bytes()).unwrap();
     match read_frame(&mut reader) {
         Response::SessionUpdate(update) => assert_eq!(update.version, 2),
-        other => panic!("expected SessionUpdate, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionUpdate, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
     match read_frame(&mut reader) {
         Response::SessionUpdate(update) => assert_eq!(update.version, 3),
-        other => panic!("expected SessionUpdate, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionUpdate, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // Close acknowledges the last pushed version.
     writeln!(stream, "{}", close_line(1)).unwrap();
     match read_frame(&mut reader) {
         Response::SessionClosed { version } => assert_eq!(version, 3),
-        other => panic!("expected SessionClosed, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionClosed, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 }
 
@@ -152,7 +167,10 @@ fn burst_deltas_coalesce_without_version_loss() {
     writeln!(stream, "{}", open_line(9, chain(16, 6))).unwrap();
     match read_frame(&mut reader) {
         Response::SessionOpened { version: 0, .. } => {}
-        other => panic!("expected SessionOpened, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionOpened, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // Six edits back to back, faster than the solves: some fold into
@@ -171,7 +189,10 @@ fn burst_deltas_coalesce_without_version_loss() {
                 next_version += 1;
                 accounted += 1 + update.coalesced;
             }
-            other => panic!("expected SessionUpdate, got {}", other.encode(&protocol::Envelope::v1())),
+            other => panic!(
+                "expected SessionUpdate, got {}",
+                other.encode(&protocol::Envelope::v1())
+            ),
         }
     }
     assert_eq!(accounted, EDITS, "coalesced counts must sum to the edits");
@@ -179,7 +200,10 @@ fn burst_deltas_coalesce_without_version_loss() {
     writeln!(stream, "{}", close_line(9)).unwrap();
     match read_frame(&mut reader) {
         Response::SessionClosed { version } => assert_eq!(version, next_version - 1),
-        other => panic!("expected SessionClosed, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionClosed, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 }
 
@@ -211,7 +235,10 @@ fn slow_consumer_is_evicted_with_overloaded_frame() {
     writeln!(stream, "{}", open_line(5, graph)).unwrap();
     match read_frame(&mut reader) {
         Response::SessionOpened { version: 0, .. } => {}
-        other => panic!("expected SessionOpened, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionOpened, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // Extend both ends once per tick and never read a push, until the
@@ -254,7 +281,10 @@ fn slow_consumer_is_evicted_with_overloaded_frame() {
                 break;
             }
             Response::SessionUpdate(_) => continue, // pre-eviction backlog
-            other => panic!("expected update or eviction, got {}", other.encode(&protocol::Envelope::v1())),
+            other => panic!(
+                "expected update or eviction, got {}",
+                other.encode(&protocol::Envelope::v1())
+            ),
         }
     }
 }
@@ -278,7 +308,10 @@ fn base_eviction_closes_session_and_reopen_resumes() {
     writeln!(stream, "{}", open_line(3, chain(10, 6))).unwrap();
     match read_frame(&mut reader) {
         Response::SessionOpened { version: 0, .. } => {}
-        other => panic!("expected SessionOpened, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionOpened, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // Unrelated traffic on the regular listener pushes the session's
@@ -301,7 +334,12 @@ fn base_eviction_closes_session_and_reopen_resumes() {
         let mut reply = String::new();
         admin_reader.read_line(&mut reply).unwrap();
         let reply = parse(reply.trim_end()).unwrap();
-        assert_eq!(reply.get("ok"), Some(&Json::Bool(true)), "{}", reply.encode());
+        assert_eq!(
+            reply.get("ok"),
+            Some(&Json::Bool(true)),
+            "{}",
+            reply.encode()
+        );
     }
 
     // The next edit cannot find its base: the session closes with the
@@ -311,19 +349,26 @@ fn base_eviction_closes_session_and_reopen_resumes() {
         Response::Error(e) => {
             assert_eq!(e.kind, ErrorKind::BaseNotFound, "{}", e.message);
         }
-        other => panic!("expected BaseNotFound, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected BaseNotFound, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 
     // Recovery is a plain re-open with the full edited graph on the
     // same connection and id — then edits flow again from version 0.
-    let edited = DiGraph::from_edges(10, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]).unwrap();
+    let edited =
+        DiGraph::from_edges(10, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]).unwrap();
     writeln!(stream, "{}", open_line(3, edited)).unwrap();
     match read_frame(&mut reader) {
         Response::SessionOpened { version, reply } => {
             assert_eq!(version, 0);
             assert_eq!(reply.height, 7);
         }
-        other => panic!("expected SessionOpened, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionOpened, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
     writeln!(stream, "{}", delta_line(3, &[(6, 7)], &[])).unwrap();
     match read_frame(&mut reader) {
@@ -331,7 +376,10 @@ fn base_eviction_closes_session_and_reopen_resumes() {
             assert_eq!(update.version, 1);
             assert_eq!(update.height, 8);
         }
-        other => panic!("expected SessionUpdate, got {}", other.encode(&protocol::Envelope::v1())),
+        other => panic!(
+            "expected SessionUpdate, got {}",
+            other.encode(&protocol::Envelope::v1())
+        ),
     }
 }
 
