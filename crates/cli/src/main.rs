@@ -546,8 +546,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
          send newline-delimited JSON, e.g. {{\"op\":\"ping\"}}",
         server.scheduler().threads()
     );
-    server.run();
-    Ok(())
+    server.run().map_err(|e| format!("serve: {e}"))
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
@@ -601,8 +600,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     eprintln!(
         "antlayer route: listening on {addr}{http_note}, hashing across {n_shards} shard(s): {shard_list}"
     );
-    router.run();
-    Ok(())
+    router.run().map_err(|e| format!("route: {e}"))
 }
 
 fn cmd_reshard(args: &[String]) -> Result<(), String> {

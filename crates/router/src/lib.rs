@@ -73,6 +73,13 @@
 //! while its slot is still active, so a removed member never draws
 //! traffic from a stale override.
 //!
+//! The [`router`] module holds the placement and health primitives: the
+//! consistent-hash [`HashRing`] and each shard's [`ShardHealth`]. The
+//! client connections are served by `antlayer-service`'s
+//! [`FrontEnd`](antlayer_service::FrontEnd), the same front end
+//! `antlayer serve` uses; the router supplies only the per-connection
+//! routing handler and the probe thread.
+//!
 //! ## Quickstart
 //!
 //! ```no_run
@@ -84,7 +91,7 @@
 //!     ..Default::default()
 //! })
 //! .unwrap();
-//! router.run(); // or .spawn() for a background handle
+//! router.run().unwrap(); // or .spawn() for a background handle
 //! ```
 //!
 //! Or from the CLI: `antlayer route --shards 127.0.0.1:4617,127.0.0.1:4618`.
@@ -92,23 +99,30 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod router {
+    //! The placement and health primitives routing is built on.
+    pub mod ring;
+    pub mod shard;
+}
+
+pub use router::ring::HashRing;
+pub use router::shard::ShardHealth;
+
 use antlayer_client::{Connection, Transport as ClientTransport};
-use antlayer_obs::{Histogram, HistogramSnapshot, Registry, RemoteSpan, SlowLog, TraceEntry};
+use antlayer_obs::{HistogramSnapshot, Registry, RemoteSpan};
 use antlayer_service::cache::ShardedCache;
 use antlayer_service::digest::Digest;
 use antlayer_service::protocol::{
     self, CacheEntry, Envelope, ErrorKind, Json, Request, Response, WireError,
 };
-use antlayer_service::router::{HashRing, ShardHealth};
 use antlayer_service::scheduler::LayoutRequest;
-use antlayer_service::server::SLOW_LOG_CAPACITY;
-use antlayer_service::transport::{Handler, HttpTransport, LineTransport, Transport};
+use antlayer_service::transport::Handler;
+use antlayer_service::{FrontEnd, FrontEndHandle, RequestLog, SideThread};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, HashSet};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router tuning knobs.
@@ -309,11 +323,10 @@ struct RouterState {
     /// client-observed request latency histogram.
     metrics: Arc<Registry>,
     /// End-to-end latency as the router's clients see it (parse +
-    /// forward + shard time + encode).
-    request_us: Arc<Histogram>,
-    /// The K slowest routed requests, each stitched with the serving
-    /// shard's own phase breakdown (`debug` op).
-    slow_log: SlowLog,
+    /// forward + shard time + encode), and the K slowest routed
+    /// requests, each stitched with the serving shard's own phase
+    /// breakdown (`debug` op).
+    log: RequestLog,
     connect_timeout: Duration,
     io_timeout: Duration,
     /// Fleet-wide copies per cached layout ([`RouterConfig::replicas`]);
@@ -347,56 +360,17 @@ impl RouterState {
     }
 }
 
-/// Live client connections, registered so shutdown can sever them.
-#[derive(Default)]
-struct ConnRegistry {
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    next_id: AtomicU64,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.streams.lock().remove(&id);
-    }
-
-    fn sever_all(&self) {
-        for (_, stream) in self.streams.lock().drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Front-end state shared by the accept loops and connection handlers.
-struct RouterShared {
-    state: Arc<RouterState>,
-    max_connections: usize,
-    shutdown: AtomicBool,
-    connections: AtomicUsize,
-    registry: ConnRegistry,
-}
-
 /// A bound, not-yet-running router.
 pub struct Router {
-    listener: TcpListener,
-    http_listener: Option<TcpListener>,
-    shared: Arc<RouterShared>,
+    front: FrontEnd,
+    state: Arc<RouterState>,
     probe_interval: Duration,
 }
 
 /// Handle to a router running on background threads; dropping it shuts
 /// the router (and its probe thread) down.
 pub struct RouterHandle {
-    addr: std::net::SocketAddr,
-    http_addr: Option<std::net::SocketAddr>,
-    shared: Arc<RouterShared>,
-    threads: Vec<JoinHandle<()>>,
+    front: FrontEndHandle,
 }
 
 impl Router {
@@ -409,11 +383,11 @@ impl Router {
                 "router needs at least one --shards backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let http_listener = match &config.http_addr {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
+        let front = FrontEnd::bind(
+            &config.addr,
+            config.http_addr.as_deref(),
+            config.max_connections,
+        )?;
         let slots: Vec<Slot> = config
             .shards
             .iter()
@@ -509,8 +483,7 @@ impl Router {
             transfer: Mutex::new(None),
             counters,
             metrics,
-            request_us,
-            slow_log: SlowLog::new(SLOW_LOG_CAPACITY),
+            log: RequestLog::new(request_us),
             connect_timeout: config.connect_timeout,
             io_timeout: config.io_timeout,
             replicas: config.replicas,
@@ -518,29 +491,20 @@ impl Router {
             homes: ShardedCache::new(65_536, 8),
         });
         Ok(Router {
-            listener,
-            http_listener,
-            shared: Arc::new(RouterShared {
-                state,
-                max_connections: config.max_connections,
-                shutdown: AtomicBool::new(false),
-                connections: AtomicUsize::new(0),
-                registry: ConnRegistry::default(),
-            }),
+            front,
+            state,
             probe_interval: config.probe_interval,
         })
     }
 
     /// The actually-bound line-TCP address (resolves port 0).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        Ok(self.front.local_addr())
     }
 
     /// The actually-bound HTTP address, when an HTTP listener exists.
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.front.http_addr()
     }
 
     /// A snapshot of the consistent-hash ring in use (for tests and
@@ -548,116 +512,64 @@ impl Router {
     /// lands on while every shard is up). Owned, not borrowed: the live
     /// ring is swapped atomically by `shard_join`/`shard_drain`.
     pub fn ring(&self) -> HashRing {
-        self.shared.state.topology.snapshot().ring.clone()
+        self.state.topology.snapshot().ring.clone()
     }
 
-    /// Runs the router on the calling thread until shutdown: starts the
-    /// background reconnect probe (and the HTTP accept loop, if
-    /// configured), then serves the line-TCP accept loop.
-    pub fn run(self) {
-        // Without the probe, down shards would stay down forever; if the
-        // thread cannot even be spawned the router still serves, merely
-        // without automatic recovery.
-        let _probe = spawn_probe(self.shared.clone(), self.probe_interval);
-        let mut threads = Vec::new();
-        if let Some(http) = self.http_listener {
-            let shared = self.shared.clone();
-            if let Ok(t) = std::thread::Builder::new()
-                .name("antlayer-route-http".into())
-                .spawn(move || accept_loop(&http, &HttpTransport, &shared))
-            {
-                threads.push(t);
-            }
-        }
-        accept_loop(&self.listener, &LineTransport, &self.shared);
-        for t in threads {
-            let _ = t.join();
-        }
+    /// Serves in the foreground: [`spawn`](Self::spawn), then wait on
+    /// the accept loops, which return only at shutdown.
+    pub fn run(self) -> std::io::Result<()> {
+        self.spawn()?.front.wait();
+        Ok(())
     }
 
     /// Runs the router on background threads (accept loops + reconnect
     /// probe) and returns a handle.
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
-        let addr = self.local_addr()?;
-        let http_addr = self.http_addr();
-        let shared = self.shared.clone();
-        let mut threads = vec![spawn_probe(self.shared.clone(), self.probe_interval)?];
-        if let Some(http) = self.http_listener {
-            let http_shared = self.shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("antlayer-route-http".into())
-                    .spawn(move || accept_loop(&http, &HttpTransport, &http_shared))?,
-            );
-        }
-        let listener = self.listener;
-        let line_shared = self.shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("antlayer-route-accept".into())
-                .spawn(move || accept_loop(&listener, &LineTransport, &line_shared))?,
-        );
-        Ok(RouterHandle {
-            addr,
-            http_addr,
-            shared,
-            threads,
-        })
+        // Without the probe, down shards would stay down forever.
+        let probe = spawn_probe(self.state.clone(), self.probe_interval)?;
+        let state = self.state;
+        let new_handler = move || RouterConnHandler {
+            state: state.clone(),
+            conns: Vec::new(),
+        };
+        let front = self
+            .front
+            .spawn("antlayer-route", new_handler, Some(probe))?;
+        Ok(RouterHandle { front })
     }
 }
 
 impl RouterHandle {
     /// The router's line-TCP address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+    pub fn addr(&self) -> SocketAddr {
+        self.front.addr()
     }
 
     /// The router's HTTP address, when an HTTP listener is serving.
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http_addr
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.front.http_addr()
     }
 
     /// Stops the accept and probe threads, severs live client
     /// connections, and joins everything.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        if self.threads.is_empty() {
-            return;
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the accept loops so they observe the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(http) = self.http_addr {
-            let _ = TcpStream::connect_timeout(&http, Duration::from_secs(1));
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        self.shared.registry.sever_all();
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        self.front.shutdown();
     }
 }
 
 /// Starts the reconnect probe: every `interval`, each down shard gets a
 /// fresh connection and a `ping`; success returns it to rotation. The
 /// sleep is chopped into short slices so shutdown is prompt.
-fn spawn_probe(shared: Arc<RouterShared>, interval: Duration) -> std::io::Result<JoinHandle<()>> {
-    std::thread::Builder::new()
-        .name("antlayer-route-probe".into())
-        .spawn(move || {
-            let state = &shared.state;
+fn spawn_probe(state: Arc<RouterState>, interval: Duration) -> std::io::Result<SideThread> {
+    let stop = Arc::new(AtomicBool::new(false));
+    let stopped = stop.clone();
+    SideThread::spawn(
+        "antlayer-route-probe",
+        move || {
             let slice = Duration::from_millis(20).min(interval);
             let mut slept = Duration::ZERO;
             loop {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if stopped.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::sleep(slice);
@@ -688,62 +600,17 @@ fn spawn_probe(shared: Arc<RouterShared>, interval: Duration) -> std::io::Result
                     }
                 }
             }
-        })
-}
-
-/// One accept loop over one listener/framing pair; mirrors the server's.
-fn accept_loop(
-    listener: &TcpListener,
-    transport: &'static dyn Transport,
-    shared: &Arc<RouterShared>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let _ = stream.set_nodelay(true);
-        let active = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
-        if active > shared.max_connections {
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
-            transport.reject(
-                stream,
-                &protocol::encode_error(&format!(
-                    "overloaded: {active} connections (cap {})",
-                    shared.max_connections
-                )),
-            );
-            continue;
-        }
-        let shared = shared.clone();
-        // Register on the accept thread, not the handler: by the time
-        // shutdown has joined this loop, every accepted connection is in
-        // the registry, so sever_all cannot miss one that a handler
-        // thread had not registered yet.
-        let id = shared.registry.register(&stream);
-        std::thread::spawn(move || {
-            // Per-handler shard connection pool: one connection per shard
-            // this client's traffic has touched, so a request/reply pair
-            // is never interleaved with another client's. Grown lazily
-            // (slot index → connection) so joined shards get slots too.
-            let mut handler = RouterConnHandler {
-                state: shared.state.clone(),
-                conns: Vec::new(),
-            };
-            transport.serve(stream, &mut handler);
-            if let Some(id) = id {
-                shared.registry.deregister(id);
-            }
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
-        });
-    }
+        },
+        move || stop.store(true, Ordering::Release),
+    )
 }
 
 /// One client connection's handler: routes protocol payloads, serves
-/// the router's own registry on `GET /metrics`.
+/// the router's own registry on `GET /metrics`. Its shard connection
+/// pool holds one connection per shard this client's traffic has
+/// touched, so a request/reply pair is never interleaved with another
+/// client's; it grows lazily (slot index → connection), so joined shards
+/// get slots too.
 struct RouterConnHandler {
     state: Arc<RouterState>,
     conns: Vec<Option<Connection>>,
@@ -754,8 +621,8 @@ impl Handler for RouterConnHandler {
         route_line(line, &self.state, &mut self.conns)
     }
 
-    fn metrics(&mut self) -> Option<String> {
-        Some(self.state.metrics.render_prometheus())
+    fn metrics(&mut self) -> String {
+        self.state.metrics.render_prometheus()
     }
 }
 
@@ -839,20 +706,11 @@ fn route_line(line: &str, state: &RouterState, conns: &mut Vec<Option<Connection
     };
     phases.push(("forward", forwarding.elapsed().as_micros() as u64));
     let total_us = started.elapsed().as_micros() as u64;
-    state.request_us.record(total_us);
-    if state.slow_log.would_keep(total_us) {
-        // Only now — for a request already known slow — is the reply
-        // parsed for its trace member; fast requests never pay for it.
-        let remote =
-            served_by.and_then(|shard| extract_remote_span(&reply, &topo.slots[shard].health.addr));
-        state.slow_log.record(TraceEntry {
-            id: correlation_id(&env.id),
-            op,
-            total_us,
-            phases,
-            remote,
-        });
-    }
+    // Only a request already known slow has its reply parsed for the
+    // shard's trace member.
+    state.log.record(&env.id, op, total_us, phases, || {
+        served_by.and_then(|shard| extract_remote_span(&reply, &topo.slots[shard].health.addr))
+    });
     reply
 }
 
@@ -864,16 +722,6 @@ fn traceable<'a>(wire: std::borrow::Cow<'a, str>, env: &Envelope) -> std::borrow
         std::borrow::Cow::Owned(protocol::with_trace_flag(&wire))
     } else {
         wire
-    }
-}
-
-/// The envelope `id` as a slow-log correlation string (mirrors the
-/// shard side, so one fleet request logs under one key on both tiers).
-fn correlation_id(id: &Option<Json>) -> String {
-    match id {
-        Some(Json::Str(s)) => s.clone(),
-        Some(other) => other.encode(),
-        None => "-".into(),
     }
 }
 
@@ -901,19 +749,8 @@ fn extract_remote_span(reply: &str, addr: &str) -> Option<RemoteSpan> {
 /// not fanned out: each tier's log is inspected where it lives, and a
 /// router entry already embeds the shard's span for its slow requests).
 fn debug_local(state: &RouterState, env: &Envelope) -> String {
-    let mut obj = BTreeMap::new();
+    let mut obj = state.log.debug_body();
     obj.insert("router".into(), Json::Bool(true));
-    obj.insert(
-        "slow_requests".into(),
-        Json::Arr(
-            state
-                .slow_log
-                .snapshot()
-                .iter()
-                .map(protocol::trace_entry_json)
-                .collect(),
-        ),
-    );
     Response::Debug(obj).encode(env)
 }
 
@@ -1663,7 +1500,7 @@ fn stats_fanout(
     );
     counters.insert(
         "router_request_us".into(),
-        protocol::histogram_json(&state.request_us.snapshot()),
+        protocol::histogram_json(&state.log.histogram().snapshot()),
     );
     counters.insert("per_shard".into(), Json::Arr(per_shard));
     Response::Stats(counters).encode(env)
@@ -1736,7 +1573,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let topo = router.shared.state.topology.snapshot();
+        let topo = router.state.topology.snapshot();
         assert_eq!(topo.epoch, 1);
         assert!(topo.slots.iter().all(|s| s.state == SlotState::Live));
         assert_eq!(topo.active().count(), 2);

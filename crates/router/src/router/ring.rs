@@ -1,7 +1,7 @@
 //! The consistent-hash ring that assigns request digests to shards.
 //!
 //! Each shard contributes `vnodes` pseudo-random points on a `u64` ring;
-//! a key (the low 64 bits of a request [`Digest`](crate::digest::Digest))
+//! a key (the low 64 bits of a request [`Digest`](antlayer_service::Digest))
 //! is owned by the shard whose point is the key's successor on the ring.
 //! Virtual nodes smooth the key shares (one point per shard would make
 //! shares as uneven as the gaps between N random points), and successor
@@ -21,7 +21,7 @@
 /// # Examples
 ///
 /// ```
-/// use antlayer_service::router::HashRing;
+/// use antlayer_router::HashRing;
 ///
 /// let ring = HashRing::new(4, 64);
 /// let owner = ring.owner(0xdead_beef);

@@ -1,7 +1,7 @@
 //! Property-based tests of the consistent-hash ring: the stability and
 //! balance guarantees the sharded deployment is built on.
 
-use antlayer_service::router::HashRing;
+use antlayer_router::HashRing;
 use proptest::prelude::*;
 
 proptest! {

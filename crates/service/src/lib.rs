@@ -15,9 +15,8 @@
 //! | durability | [`persist`] | append-only [`SegmentLog`]: checksummed records, replay on boot, snapshot compaction |
 //! | compute | [`scheduler`] | [`Scheduler`]: digest dedup, admission control, deadline-bounded fan-out over the worker pool |
 //! | protocol | [`protocol`] | the typed codec: v1/v2 envelopes, [`protocol::Request`]/[`protocol::Response`]/[`protocol::ErrorKind`] |
-//! | transport | [`transport`], [`server`] | framing ([`transport::Transport`]: line TCP + hand-rolled HTTP/1.1), [`Server`] + [`ServerHandle`] |
+//! | transport | [`transport`], [`frontend`], [`server`] | framing ([`transport::Transport`]: line TCP + hand-rolled HTTP/1.1), the thread-per-connection [`FrontEnd`] that `antlayer serve` and `antlayer route` share, [`Server`] + [`ServerHandle`] |
 //! | sessions | [`session`], [`live`] | streaming edit sessions: [`SessionTable`] + [`OutboundQueue`] state, the epoll [`LiveReactor`] that pushes `session_update` frames |
-//! | topology | [`router`] | consistent-hash [`HashRing`] + shard health, shared with the `antlayer-router` crate |
 //!
 //! Edits are first-class: a `layout_delta` request
 //! ([`DeltaRequest`]) carries the digest of a
@@ -55,8 +54,8 @@
 //! ## Server quickstart
 //!
 //! Start `antlayer serve --addr 127.0.0.1:4617` (CLI) or
-//! [`Server::bind`](server::Server::bind) + `spawn` (library), then
-//! speak newline-delimited JSON:
+//! [`Server::bind`](server::Server::bind) + `spawn` (library; `run`
+//! serves in the foreground), then speak newline-delimited JSON:
 //!
 //! ```text
 //! → {"op":"layout","algo":"aco","nodes":4,"edges":[[0,1],[1,2],[2,3]]}
@@ -66,21 +65,21 @@
 //! ```
 //!
 //! When one process's memory is not enough, run several `antlayer serve`
-//! shards behind `antlayer route`: the [`router`] module holds the
-//! consistent-hash ring and shard-health primitives, the
-//! `antlayer-router` crate the TCP front that uses them. Clients speak
-//! the exact same protocol to the router. The complete wire reference
-//! lives in `docs/PROTOCOL.md`, the design in `docs/ARCHITECTURE.md`.
+//! shards behind `antlayer route`: the `antlayer-router` crate holds the
+//! consistent-hash ring, shard health and the routing handler it puts
+//! behind this crate's [`FrontEnd`]. Clients speak the exact same
+//! protocol to the router. The complete wire reference lives in
+//! `docs/PROTOCOL.md`, the design in `docs/ARCHITECTURE.md`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod digest;
+pub mod frontend;
 pub mod live;
 pub mod persist;
 pub mod protocol;
-pub mod router;
 pub mod scheduler;
 pub mod server;
 pub mod session;
@@ -88,14 +87,14 @@ pub mod transport;
 
 pub use cache::{CacheCounters, ShardedCache};
 pub use digest::{request_digest, CanonicalHasher, Digest};
+pub use frontend::{FrontEnd, FrontEndHandle, RequestLog, SideThread, SLOW_LOG_CAPACITY};
 pub use live::{LiveReactor, LiveStopper, LiveTuning};
 pub use persist::{ReplayReport, SegmentLog};
 pub use protocol::{CacheEntry, Envelope, ErrorKind, LayoutReply, Request, Response, WireError};
-pub use router::{HashRing, ShardHealth};
 pub use scheduler::{
     AlgoSpec, DeltaRequest, LayoutRequest, LayoutResponse, LayoutResult, Scheduler,
     SchedulerConfig, SchedulerCounters, ServiceError, Source, Ticket,
 };
-pub use server::{Server, ServerConfig, ServerHandle, ServiceCore, SLOW_LOG_CAPACITY};
+pub use server::{Server, ServerConfig, ServerHandle, ServiceCore};
 pub use session::{OutboundQueue, SessionMetrics, SessionTable};
 pub use transport::{Handler, HttpTransport, LineTransport, Transport};

@@ -161,18 +161,8 @@ pub struct LiveReactor {
 }
 
 impl LiveReactor {
-    /// Wraps a bound listener in a reactor serving `scheduler`, with
-    /// default [`LiveTuning`].
+    /// Wraps a bound listener in a reactor serving `scheduler`.
     pub fn new(
-        listener: TcpListener,
-        scheduler: Arc<Scheduler>,
-        metrics: Arc<SessionMetrics>,
-    ) -> std::io::Result<LiveReactor> {
-        LiveReactor::with_tuning(listener, scheduler, metrics, LiveTuning::default())
-    }
-
-    /// [`LiveReactor::new`] with explicit tuning.
-    pub fn with_tuning(
         listener: TcpListener,
         scheduler: Arc<Scheduler>,
         metrics: Arc<SessionMetrics>,
@@ -314,28 +304,35 @@ impl LiveReactor {
                     return false;
                 }
                 Ok(n) => {
+                    // The buffered prefix holds no newline (each read
+                    // consumes every line it completes), so only the new
+                    // bytes are scanned: a long line costs linear time.
+                    let scanned = conn.buf.len();
                     conn.buf.extend_from_slice(&chunk[..n]);
                     if conn.buf.len() > MAX_LINE_BYTES {
                         self.teardown(token);
                         return false;
                     }
-                    // Handle complete lines as they assemble; a line may
-                    // arrive across many readiness events (the partial-
-                    // frame tests feed one byte at a time).
-                    while let Some(pos) = {
-                        let conn = self.conns.get_mut(&token);
-                        conn.and_then(|c| c.buf.iter().position(|&b| b == b'\n'))
-                    } {
-                        let line: Vec<u8> = {
-                            let conn = self.conns.get_mut(&token).expect("checked above");
-                            conn.buf.drain(..=pos).collect()
-                        };
-                        let text = String::from_utf8_lossy(&line);
-                        self.handle_line(token, text.trim_end_matches(['\n', '\r']));
+                    let Some(end) = conn.buf[scanned..].iter().rposition(|&b| b == b'\n') else {
+                        continue; // a line may arrive across many reads
+                    };
+                    let end = scanned + end;
+                    let mut buf = std::mem::take(&mut conn.buf);
+                    for line in buf[..end].split(|&b| b == b'\n') {
+                        self.handle_line(
+                            token,
+                            String::from_utf8_lossy(line).trim_end_matches('\r'),
+                        );
                         if !self.conns.contains_key(&token) {
                             return false;
                         }
                     }
+                    // One drain per read, however many lines it held.
+                    buf.drain(..=end);
+                    self.conns
+                        .get_mut(&token)
+                        .expect("checked after each line")
+                        .buf = buf;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,

@@ -262,6 +262,13 @@ pub fn restore_result(entry: &CacheEntry) -> Result<LayoutResult, String> {
     let graph =
         DiGraph::from_edges(nodes, &entry.edges).map_err(|e| format!("restore: graph: {e}"))?;
     let oriented = antlayer_sugiyama::acyclic_orientation(&graph);
+    if entry.reversed_edges != oriented.reversed.len() as u64 {
+        return Err(format!(
+            "restore: reversed_edges is {}, but orienting the graph reverses {}",
+            entry.reversed_edges,
+            oriented.reversed.len()
+        ));
+    }
     let mut layer_of = vec![0u32; nodes];
     let mut placed = 0usize;
     for (i, layer) in entry.layers.iter().enumerate() {
@@ -405,5 +412,22 @@ mod tests {
         let mut bad = path_entry(9);
         bad.layers = vec![vec![2], vec![1]];
         assert!(restore_result(&bad).is_err());
+    }
+
+    #[test]
+    fn a_wrong_reversed_edge_count_is_rejected_by_restore_and_install() {
+        // The path is a DAG: orienting it reverses nothing, so an entry
+        // claiming 999 reversed edges must not be served.
+        let mut bad = path_entry(9);
+        bad.reversed_edges = 999;
+        let err = restore_result(&bad).unwrap_err();
+        assert!(err.contains("reversed_edges is 999"), "{err}");
+        let scheduler = crate::scheduler::Scheduler::new(Default::default());
+        assert!(matches!(
+            scheduler.install(&bad),
+            Err(crate::scheduler::ServiceError::InvalidRequest(_))
+        ));
+        assert_eq!(scheduler.restored(), 0);
+        assert_eq!(scheduler.install(&path_entry(9)), Ok(true));
     }
 }

@@ -17,9 +17,10 @@
 //!   subset described here, which is what curl and standard HTTP
 //!   clients emit for a JSON POST.
 //!
-//! Both the `antlayer serve` front end and the `antlayer-router` front
-//! serve connections through this trait, so adding a framing never
-//! touches the scheduler, cache, or routing layers.
+//! The one front end that `antlayer serve` and `antlayer route` share
+//! ([`crate::frontend`]) serves every connection through this trait, so
+//! adding a framing never touches the scheduler, cache, or routing
+//! layers.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -45,32 +46,18 @@ pub const HTTP_METRICS_ROUTE: &str = "GET /metrics";
 /// [`respond`](Handler::respond) maps one protocol request payload to
 /// one response payload — the only method the line framing ever calls.
 /// [`metrics`](Handler::metrics) serves `GET /metrics` on the HTTP
-/// framing; the default `None` turns the route into a 404, which is
-/// what a bare closure (the blanket impl below) gets.
+/// framing.
 pub trait Handler {
     /// Answers one protocol request payload.
     fn respond(&mut self, line: &str) -> String;
 
-    /// Renders the Prometheus metrics page, if this handler has one.
-    fn metrics(&mut self) -> Option<String> {
-        None
-    }
-}
-
-/// Any `FnMut(&str) -> String` is a handler without a metrics page, so
-/// tests and simple servers keep passing plain closures.
-impl<F: FnMut(&str) -> String> Handler for F {
-    fn respond(&mut self, line: &str) -> String {
-        self(line)
-    }
+    /// Renders the Prometheus metrics page.
+    fn metrics(&mut self) -> String;
 }
 
 /// One connection-serving strategy: reads requests off the stream, calls
 /// the handler once per request payload, writes the replies back.
 pub trait Transport: Send + Sync + 'static {
-    /// Framing name for logs (`"tcp"` / `"http"`).
-    fn name(&self) -> &'static str;
-
     /// Serves one accepted connection until EOF, error, or (HTTP)
     /// `Connection: close`. [`Handler::respond`] maps one request
     /// payload to one response payload; transport-level failures
@@ -87,10 +74,6 @@ pub trait Transport: Send + Sync + 'static {
 pub struct LineTransport;
 
 impl Transport for LineTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn serve(&self, stream: TcpStream, handler: &mut dyn Handler) {
         let mut reader = match stream.try_clone() {
             Ok(s) => BufReader::new(s),
@@ -161,10 +144,6 @@ enum HeadError {
 pub struct HttpTransport;
 
 impl Transport for HttpTransport {
-    fn name(&self) -> &'static str {
-        "http"
-    }
-
     fn serve(&self, stream: TcpStream, handler: &mut dyn Handler) {
         let mut reader = match stream.try_clone() {
             Ok(s) => BufReader::new(s),
@@ -216,29 +195,27 @@ impl Transport for HttpTransport {
                     (200, handler.respond(body.trim()))
                 }
                 HTTP_HEALTH_ROUTE => (200, handler.respond(r#"{"op":"ping"}"#)),
-                HTTP_METRICS_ROUTE => match handler.metrics() {
-                    Some(text) => {
-                        // Prometheus text exposition, not JSON: typed
-                        // accordingly and written directly.
-                        if write_http_typed(&mut writer, 200, METRICS_CONTENT_TYPE, &text).is_err()
-                            || head.close
-                        {
-                            return;
-                        }
-                        continue;
-                    }
-                    None => {
-                        let reply = crate::protocol::encode_error(
-                            "unknown op 'http route GET /metrics' (this handler exposes no metrics)",
-                        );
-                        let _ = write_http(&mut writer, 404, &reply);
+                HTTP_METRICS_ROUTE => {
+                    // Prometheus text exposition, not JSON: typed
+                    // accordingly and written directly.
+                    let text = handler.metrics();
+                    if write_http_typed(&mut writer, 200, METRICS_CONTENT_TYPE, &text).is_err()
+                        || head.close
+                    {
                         return;
                     }
-                },
+                    continue;
+                }
                 _ => {
                     // Close after answering, as PROTOCOL.md promises for
-                    // every 4xx: the unread request body (if any) would
-                    // otherwise desync the keep-alive stream.
+                    // every 4xx. Read the declared body first: closing a
+                    // socket with unread bytes makes the kernel send a
+                    // reset, which can destroy the answer before the
+                    // client reads it.
+                    if let Some(length) = head.content_length.filter(|&n| n <= MAX_REQUEST_BYTES) {
+                        let _ =
+                            std::io::copy(&mut (&mut reader).take(length), &mut std::io::sink());
+                    }
                     let known = ["/v2", "/healthz", "/metrics"];
                     let status = if known.contains(&head.path.as_str()) {
                         405
@@ -408,14 +385,6 @@ mod tests {
         // The body already ends with '\n'; no second newline is added.
         assert!(head.contains("Content-Length: 10"), "{head}");
         assert_eq!(body, "m_total 1\n");
-    }
-
-    #[test]
-    fn closures_are_handlers_without_metrics() {
-        let mut f = |line: &str| format!("echo {line}");
-        let h: &mut dyn Handler = &mut f;
-        assert_eq!(h.respond("x"), "echo x");
-        assert!(h.metrics().is_none());
     }
 
     #[test]

@@ -198,6 +198,33 @@ fn unknown_route_is_404_known_route_wrong_method_is_405() {
 }
 
 #[test]
+fn unrouted_post_with_a_large_body_gets_its_404_then_eof() {
+    // The server reads the declared body before it closes: closing with
+    // unread bytes makes the kernel reset the connection, which can
+    // destroy the 404 before the client reads it.
+    let (handle, http) = spawn_http_server();
+    let (mut stream, mut reader) = connect(http);
+    let body = vec![b' '; 64 * 1024];
+    write!(
+        stream,
+        "POST /nope HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    stream.write_all(&body).unwrap();
+    let (status, reply) = read_response(&mut reader);
+    assert!(status.starts_with("HTTP/1.1 404"), "{status}");
+    assert!(reply.contains("unknown op"), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_to_string(&mut rest).unwrap(),
+        0,
+        "the connection ends with EOF, not a reset"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn bad_json_body_is_200_with_protocol_error() {
     // Matching the TCP framing: a malformed payload is an application
     // error, the connection stays usable.

@@ -160,6 +160,51 @@ fn frames_assemble_across_split_writes_and_split_reads() {
 }
 
 #[test]
+fn a_trickling_long_line_does_not_stall_another_connection() {
+    // One connection sends a 16 MiB line, still without its newline, in
+    // 16 KiB writes; a ping on a second connection must not wait for
+    // it. Rescanning the whole buffered prefix after every read made
+    // such a ping wait seconds.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let handle = spawn(live_config());
+    let addr = handle.live_addr().expect("live listener bound");
+    let sent = Arc::new(AtomicUsize::new(0));
+    let writer = {
+        let sent = sent.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let chunk = [b'x'; 16 * 1024];
+            for _ in 0..1024 {
+                if stream.write_all(&chunk).is_err() {
+                    return;
+                }
+                sent.fetch_add(chunk.len(), Ordering::Relaxed);
+            }
+        })
+    };
+    while sent.load(Ordering::Relaxed) < 1 << 20 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (mut stream, mut reader) = connect_live(&handle);
+    // A stalled loop fails the read instead of hanging the test.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    writeln!(stream, r#"{{"op":"ping"}}"#).unwrap();
+    let pong = read_frame(&mut reader);
+    let waited = started.elapsed();
+    assert!(matches!(pong, Response::Pong { .. }), "{pong:?}");
+    assert!(
+        waited < Duration::from_secs(2),
+        "the ping waited {waited:?} behind another connection's line"
+    );
+    writer.join().unwrap();
+    handle.shutdown();
+}
+
+#[test]
 fn burst_deltas_coalesce_without_version_loss() {
     let handle = spawn(live_config());
     let (mut stream, mut reader) = connect_live(&handle);
