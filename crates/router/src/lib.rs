@@ -76,7 +76,7 @@
 //! The [`router`] module holds the placement and health primitives: the
 //! consistent-hash [`HashRing`] and each shard's [`ShardHealth`]. The
 //! client connections are served by `antlayer-service`'s
-//! [`FrontEnd`](antlayer_service::FrontEnd), the same front end
+//! [`FrontEnd`], the same front end
 //! `antlayer serve` uses; the router supplies only the per-connection
 //! routing handler and the probe thread.
 //!

@@ -129,9 +129,9 @@ impl ServiceCore {
     /// single dispatch point every transport calls.
     ///
     /// Every request is timed end to end into the `server_request_us`
-    /// histogram and, when slow enough, into the [`SlowLog`] with its
-    /// phase breakdown (`parse → cache_lookup → queue_wait → compute →
-    /// encode`). A v2 request with `"trace":true` gets the same
+    /// histogram and, when slow enough, into the slow log of the
+    /// [`RequestLog`] with its phase breakdown (`parse → cache_lookup →
+    /// queue_wait → compute → encode`). A v2 request with `"trace":true` gets the same
     /// breakdown echoed in the response's `"trace"` member — the
     /// router's way of stitching a fleet-wide timeline.
     pub fn respond(&self, line: &str) -> String {
