@@ -679,11 +679,10 @@ fn route_line(line: &str, state: &RouterState, conns: &mut Vec<Option<Connection
         // Shard-local: a page walk only means something against one
         // cache, so the router has no digest to route it by.
         Request::CachePull { .. } => (
-            Response::Error(WireError::new(
-                ErrorKind::InvalidRequest,
+            invalid(
+                &env,
                 "invalid request: 'cache_pull' is a shard-local op; address a shard directly",
-            ))
-            .encode(&env),
+            ),
             None,
         ),
         Request::ShardJoin { addr } => (admin_join(state, conns, addr, &env), None),
@@ -693,14 +692,13 @@ fn route_line(line: &str, state: &RouterState, conns: &mut Vec<Option<Connection
         // sessions therefore speak to a shard's --live listener
         // directly (shard moves surface as `base not found` re-opens).
         Request::SessionOpen(_) | Request::SessionDelta { .. } | Request::SessionClose => (
-            Response::Error(WireError::new(
-                ErrorKind::InvalidRequest,
+            invalid(
+                &env,
                 format!(
                     "invalid request: '{op}' is a live-session op; connect to a shard's \
                      --live listener directly"
                 ),
-            ))
-            .encode(&env),
+            ),
             None,
         ),
     };
@@ -1060,18 +1058,16 @@ fn admin_join(
         .iter()
         .any(|s| s.state.active() && s.health.addr == addr)
     {
-        return Response::Error(WireError::new(
-            ErrorKind::InvalidRequest,
+        return invalid(
+            env,
             format!("invalid request: shard_join: {addr} is already a fleet member"),
-        ))
-        .encode(env);
+        );
     }
     if !ping_shard(state, addr) {
-        return Response::Error(WireError::new(
-            ErrorKind::InvalidRequest,
+        return invalid(
+            env,
             format!("invalid request: shard_join: cannot reach {addr}"),
-        ))
-        .encode(env);
+        );
     }
     // Publish the joining topology: a new slot appended, the ring grown
     // to a point-superset of the old one — only keys the new shard owns
@@ -1137,28 +1133,23 @@ fn admin_drain(
         .iter()
         .position(|s| s.state.active() && s.health.addr == addr)
     else {
-        return Response::Error(WireError::new(
-            ErrorKind::InvalidRequest,
+        return invalid(
+            env,
             format!("invalid request: shard_drain: {addr} is not a fleet member"),
-        ))
-        .encode(env);
+        );
     };
     if topo.slots[drained].state != SlotState::Live {
-        return Response::Error(WireError::new(
-            ErrorKind::InvalidRequest,
-            format!(
-                "invalid request: shard_drain: {addr} is {}, not live",
-                topo.slots[drained].state.name()
-            ),
-        ))
-        .encode(env);
+        let state = topo.slots[drained].state.name();
+        return invalid(
+            env,
+            format!("invalid request: shard_drain: {addr} is {state}, not live"),
+        );
     }
     if topo.active().count() <= 1 {
-        return Response::Error(WireError::new(
-            ErrorKind::InvalidRequest,
+        return invalid(
+            env,
             format!("invalid request: shard_drain: refusing to remove the last shard {addr}"),
-        ))
-        .encode(env);
+        );
     }
     let mut slots = topo.slots.clone();
     slots[drained].state = SlotState::Draining;
@@ -1186,6 +1177,11 @@ fn admin_drain(
         }
     }
     topology_reply(&removed, moved, env)
+}
+
+/// An `invalid_request` error reply sealed with `env`.
+fn invalid(env: &Envelope, message: impl Into<String>) -> String {
+    Response::Error(WireError::new(ErrorKind::InvalidRequest, message)).encode(env)
 }
 
 /// One preflight ping over a fresh connection (admin ops refuse rather
@@ -1466,38 +1462,19 @@ fn stats_fanout(
     counters.insert("shards_up".into(), Json::Num(shards_up as f64));
     counters.insert("topology_epoch".into(), Json::Num(topo.epoch as f64));
     let c = &state.counters;
-    counters.insert(
-        "router_forwarded".into(),
-        Json::Num(c.forwarded.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "router_rerouted".into(),
-        Json::Num(c.rerouted.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "router_unroutable".into(),
-        Json::Num(c.unroutable.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "replica_puts".into(),
-        Json::Num(c.replica_puts.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "read_repairs".into(),
-        Json::Num(c.read_repairs.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "router_joins".into(),
-        Json::Num(c.joins.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "router_drains".into(),
-        Json::Num(c.drains.load(Ordering::Relaxed) as f64),
-    );
-    counters.insert(
-        "router_transferred".into(),
-        Json::Num(c.transferred.load(Ordering::Relaxed) as f64),
-    );
+    for (name, counter) in [
+        ("router_forwarded", &c.forwarded),
+        ("router_rerouted", &c.rerouted),
+        ("router_unroutable", &c.unroutable),
+        ("replica_puts", &c.replica_puts),
+        ("read_repairs", &c.read_repairs),
+        ("router_joins", &c.joins),
+        ("router_drains", &c.drains),
+        ("router_transferred", &c.transferred),
+    ] {
+        let value = counter.load(Ordering::Relaxed) as f64;
+        counters.insert(name.into(), Json::Num(value));
+    }
     counters.insert(
         "router_request_us".into(),
         protocol::histogram_json(&state.log.histogram().snapshot()),

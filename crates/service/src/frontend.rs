@@ -82,7 +82,7 @@ pub struct FrontEnd {
 /// it return at shutdown.
 pub struct SideThread {
     thread: JoinHandle<()>,
-    stop: Box<dyn FnOnce() + Send>,
+    stop: Box<dyn FnOnce() + Send + Sync>,
 }
 
 impl SideThread {
@@ -91,7 +91,7 @@ impl SideThread {
     pub fn spawn(
         name: &str,
         body: impl FnOnce() + Send + 'static,
-        stop: impl FnOnce() + Send + 'static,
+        stop: impl FnOnce() + Send + Sync + 'static,
     ) -> std::io::Result<SideThread> {
         Ok(SideThread {
             thread: std::thread::Builder::new().name(name.into()).spawn(body)?,
